@@ -8,12 +8,12 @@ and a small CLI (``xbart fit|predict|bench``).
 """
 
 from .bench import BenchReport, run_bench
-from .data import PredictorMatrix, presort, sift
+from .data import PredictorMatrix
 from .errors import ConfigError, DataError, ModelFormatError, XBARTError
 from .forest import ForestSampler, Hyperparams, SweepDraw
 from .model import FittedModel, fit, load_model
 from .simulate import DgpSpec, make_dataset, mean_function, rmse
-from .tree import Tree, grow_tree
+from .tree import Tree
 
 __version__ = "0.1.0"
 
@@ -32,12 +32,9 @@ __all__ = [
     "XBARTError",
     "__version__",
     "fit",
-    "grow_tree",
     "load_model",
     "make_dataset",
     "mean_function",
-    "presort",
     "rmse",
     "run_bench",
-    "sift",
 ]

@@ -86,12 +86,6 @@ class PredictorMatrix:
     def p(self) -> int:
         return self.columns.shape[0]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.columns[j]
-
-    def kind(self, j: int) -> str:
-        return CATEGORICAL if self.categorical[j] else CONTINUOUS
-
     def tie_free_columns(self) -> np.ndarray:
         """Boolean mask of continuous columns with no repeated values.
 
@@ -170,10 +164,6 @@ class CutpointGrid:
     values: np.ndarray
 
     def __len__(self) -> int:
-        return self.var_ids.size
-
-    @property
-    def n_candidates(self) -> int:
         return self.var_ids.size
 
 
@@ -267,35 +257,6 @@ def build_cutpoint_grid(
         np.concatenate(rank_chunks),
         np.concatenate(val_chunks),
     )
-
-
-@dataclass(frozen=True)
-class CategoricalColumn:
-    """Run-length summary of one categorical column within a node."""
-
-    unique_val: np.ndarray
-    val_count: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "CategoricalColumn":
-        uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
-        return cls(uniq, counts)
-
-
-def categorical_stats(col: CategoricalColumn, residuals) -> np.ndarray:
-    """Cumulative residual sums at each level boundary of a categorical column.
-
-    ``residuals`` must be in the node's sorted order for this column; entry
-    ``i`` of the result is the residual sum over all rows with value
-    ``<= unique_val[i]``.
-    """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.size != int(col.val_count.sum()):
-        raise DataError(
-            f"{residuals.size} residuals for {int(col.val_count.sum())} rows"
-        )
-    ends = np.cumsum(col.val_count) - 1
-    return np.cumsum(residuals)[ends]
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ prediction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import PredictorMatrix, presort
 from .errors import ConfigError, DataError
-from .tree import GrowParams, Tree, grow_tree
+from .tree import Tree, grow_tree
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,9 @@ class Hyperparams:
     """Sampler configuration; every default follows the reference setup.
 
     ``None`` fields are resolved against the data at fit time:
-    ``n_cutpoints`` becomes ``min(n, 100)``, ``mtry`` scores all variables,
-    ``b_sigma`` becomes Var(y) and ``b_tau`` becomes ``Var(y) / (2 n_trees)``.
+    ``n_cutpoints`` becomes ``min(n, 100)``, ``mtry`` scores all variables
+    (``ForestSampler.grow_params`` holds the resolved copy), ``b_sigma``
+    becomes Var(y) and ``b_tau`` becomes ``Var(y) / (2 n_trees)``.
     """
 
     n_trees: int = 20
@@ -74,10 +75,6 @@ class Hyperparams:
             value = getattr(self, name)
             if value is not None and value <= 0.0:
                 raise ConfigError(f"{name} must be > 0 when given")
-
-    @property
-    def n_retained(self) -> int:
-        return self.n_sweeps - self.burnin
 
 
 @dataclass
@@ -147,10 +144,6 @@ def update_variable_weights(
     return counts, rng.dirichlet(counts)
 
 
-def _sample_variance(y: np.ndarray) -> float:
-    return float(np.var(y, ddof=1))
-
-
 class ForestSampler:
     """Runs the full sweep schedule over one training set.
 
@@ -180,17 +173,19 @@ class ForestSampler:
         self.rng = np.random.default_rng(seed)
 
         p = X.p
-        self.mtry = self.params.mtry if self.params.mtry is not None else p
-        if self.mtry > p:
-            raise ConfigError(f"mtry={self.mtry} exceeds the {p} available columns")
-        self.budget = (
-            self.params.n_cutpoints
-            if self.params.n_cutpoints is not None
-            else min(X.n, 100)
+        # the validated fields are None or >= 1, so ``or`` picks the default
+        self.grow_params = replace(
+            self.params,
+            n_cutpoints=self.params.n_cutpoints or min(X.n, 100),
+            mtry=self.params.mtry or p,
         )
+        if self.grow_params.mtry > p:
+            raise ConfigError(
+                f"mtry={self.grow_params.mtry} exceeds the {p} available columns"
+            )
         self.y_offset = float(y.mean())
         self.y_centred = y - self.y_offset
-        var_y = _sample_variance(self.y_centred)
+        var_y = float(np.var(self.y_centred, ddof=1))
         if var_y == 0.0:
             # constant target: keep the variance scales positive
             var_y = 1.0
@@ -202,18 +197,8 @@ class ForestSampler:
             if self.params.b_tau is not None
             else 0.5 * var_y / self.params.n_trees
         )
-        self.grow_params = GrowParams(
-            alpha=self.params.alpha,
-            beta=self.params.beta,
-            budget=self.budget,
-            min_node_size=self.params.min_node_size,
-            max_depth=self.params.max_depth,
-            mtry=self.mtry,
-        )
-
         self.root_index = presort(X)
         self.tie_free = X.tie_free_columns()
-        self._workspace = np.zeros(X.n, dtype=bool)
 
         L = self.params.n_trees
         self.trees: list[Tree] = [Tree.single_leaf(0.0) for _ in range(L)]
@@ -235,7 +220,7 @@ class ForestSampler:
         partial = st.residual + st.fitted[h]
         new_counts = np.zeros(self.X.p, dtype=np.int64)
         fitted_new = np.empty(self.X.n)
-        use_weights = self.sweeps_done >= 1 and self.mtry < self.X.p
+        subsample = self.grow_params.mtry < self.X.p
         tree = grow_tree(
             self.X,
             self.root_index,
@@ -244,11 +229,10 @@ class ForestSampler:
             st.tau,
             self.grow_params,
             self.rng,
-            var_weights=st.weights if use_weights else None,
+            var_weights=st.weights if subsample and self.sweeps_done >= 1 else None,
             fitted_out=fitted_new,
             split_count_out=new_counts,
             tie_free=self.tie_free,
-            workspace=self._workspace,
         )
         self.trees[h] = tree
         st.fitted[h] = fitted_new
@@ -257,7 +241,7 @@ class ForestSampler:
             st.weight_counts,
             st.split_counts[h],
             new_counts,
-            self.rng if self.mtry < self.X.p else None,
+            self.rng if subsample else None,
         )
         st.split_counts[h] = new_counts
         st.sigma2 = update_sigma2(st.residual, self.params.a_sigma, self.b_sigma, self.rng)

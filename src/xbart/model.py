@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import PredictorMatrix
-from .errors import DataError, ModelFormatError
+from .errors import ConfigError, DataError, ModelFormatError
 from .forest import ForestSampler, Hyperparams, SweepDraw
-from .tree import Tree
+from .tree import Tree, parse_finite
 
 _FORMAT = "xbart-model"
 _VERSION = 1
@@ -138,24 +138,44 @@ def load_model(path) -> FittedModel:
         )
     try:
         params = Hyperparams(**payload["params"])
-        n_features = int(payload["n_features"])
+        n_features = payload["n_features"]
+        if type(n_features) is not int or n_features < 1:
+            raise ModelFormatError(
+                f"n_features is not a positive integer: {n_features!r}"
+            )
+        categorical = np.asarray(payload["categorical"], dtype=bool)
+        if categorical.shape != (n_features,):
+            raise ModelFormatError(
+                f"categorical has shape {categorical.shape}, expected ({n_features},)"
+            )
+        feature_names = payload.get("feature_names")
+        if feature_names is not None and (
+            not isinstance(feature_names, list)
+            or len(feature_names) != n_features
+            or not all(isinstance(name, str) for name in feature_names)
+        ):
+            raise ModelFormatError(
+                f"feature_names is not a list of {n_features} strings: {feature_names!r}"
+            )
         draws = [
             SweepDraw(
                 sweep=int(d["sweep"]),
                 trees=[Tree.from_records(t, n_features) for t in d["trees"]],
-                sigma2=float(d["sigma2"]),
-                tau=float(d["tau"]),
+                sigma2=parse_finite(d["sigma2"], f"sigma2 of draw {k}"),
+                tau=parse_finite(d["tau"], f"tau of draw {k}"),
             )
-            for d in payload["draws"]
+            for k, d in enumerate(payload["draws"])
         ]
         model = FittedModel(
             params=params,
-            y_offset=float(payload["y_offset"]),
+            y_offset=parse_finite(payload["y_offset"], "y_offset"),
             n_features=n_features,
-            categorical=np.asarray(payload["categorical"], dtype=bool),
-            feature_names=payload.get("feature_names"),
+            categorical=categorical,
+            feature_names=feature_names,
             draws=draws,
         )
+    except (ConfigError, ModelFormatError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from None
     if not model.draws:

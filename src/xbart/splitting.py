@@ -56,13 +56,13 @@ def split_loglik(s_left, n_left, s_total, n_total, sigma2: float, tau: float):
     return left + right
 
 
-def no_split_log_weight(n_candidates: int, depth: int, alpha: float, beta: float) -> float:
-    """Log weight of the no-split option against ``n_candidates`` cutpoints.
+def no_split_log_weight(n_cand: int, depth: int, alpha: float, beta: float) -> float:
+    """Log weight of the no-split option against ``n_cand`` cutpoints.
 
     Zero weight (alpha = 1 at the root) maps to ``-inf`` so the option can
     never win the softmax.
     """
-    weight = n_candidates * ((1.0 + depth) ** beta / alpha - 1.0)
+    weight = n_cand * ((1.0 + depth) ** beta / alpha - 1.0)
     if weight <= 0.0:
         return -np.inf
     return float(np.log(weight))
@@ -77,7 +77,7 @@ class SplitChoice:
     value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateScores:
     """Log scores for every candidate plus the no-split option at one node."""
 
@@ -85,7 +85,6 @@ class CandidateScores:
     log_scores: np.ndarray
     no_split_log_score: float
     depth: int
-    _cdf: np.ndarray | None = None
 
     def probabilities(self) -> np.ndarray:
         """Normalised selection probabilities; the last entry is no-split."""
@@ -94,11 +93,6 @@ class CandidateScores:
         probs = np.exp(z)
         probs /= probs.sum()
         return probs
-
-    def _cumulative(self) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.probabilities())
-        return self._cdf
 
 
 def scan_candidates(
@@ -155,7 +149,7 @@ def sample_cutpoint(
     """
     n_cand = len(scores.grid)
     if method == "direct":
-        cdf = scores._cumulative()
+        cdf = np.cumsum(scores.probabilities())
         u = rng.random()
         idx = int(np.searchsorted(cdf, u, side="right"))
         if idx >= cdf.size:  # guard the u ~ 1.0 floating-point edge
@@ -172,45 +166,3 @@ def sample_cutpoint(
         rank=int(scores.grid.ranks[idx]),
         value=float(scores.grid.values[idx]),
     )
-
-
-def theoretical_split_criterion(
-    prob_left: float, mean_left: float, mean_right: float, sigma2: float
-) -> float:
-    """Population limit of the scaled split criterion at one cutpoint.
-
-    For a candidate that puts mass ``prob_left`` in the left cell, the limit
-    is ``(P_l E[Y|left]^2 + P_r E[Y|right]^2) / sigma2``.
-    """
-    return (
-        prob_left * mean_left**2 + (1.0 - prob_left) * mean_right**2
-    ) / sigma2
-
-
-def empirical_split_criterion(
-    y: np.ndarray,
-    x: np.ndarray,
-    cut: float,
-    sigma2: float,
-    tau: float,
-    gumbel: float = 0.0,
-) -> float:
-    """Finite-sample scaled criterion whose large-n limit is the theoretical one.
-
-    This is the per-observation version of the split score: quadratic terms
-    weighted by ``tau n_b / (sigma2 (sigma2 + tau n_b))``, the two
-    log-variance-ratio terms, and optionally a realised Gumbel perturbation,
-    all divided by the sample size.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    n = y.size
-    on_left = x <= cut
-    parts = []
-    for side in (y[on_left], y[~on_left]):
-        if side.size == 0:
-            raise DataError("cut leaves one side of the empirical criterion empty")
-        coef = tau * side.size / (sigma2 * (sigma2 + tau * side.size))
-        explained = np.sum(side**2) - np.sum((side - side.mean()) ** 2)
-        parts.append(coef * explained + np.log(sigma2 / (sigma2 + tau * side.size)))
-    return (parts[0] + parts[1] + gumbel) / n

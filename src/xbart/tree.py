@@ -11,7 +11,8 @@ Nodes are stored struct-of-arrays in pre-order; ``var < 0`` marks a leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,19 +20,10 @@ from .data import PredictorMatrix, build_cutpoint_grid, sift
 from .errors import DataError, ModelFormatError
 from .splitting import sample_cutpoint, scan_candidates
 
+if TYPE_CHECKING:
+    from .forest import Hyperparams
+
 _LEAF = -1
-
-
-@dataclass(frozen=True)
-class GrowParams:
-    """Knobs consumed by a single tree grow."""
-
-    alpha: float = 0.95
-    beta: float = 1.25
-    budget: int = 100
-    min_node_size: int = 1
-    max_depth: int = 30
-    mtry: int | None = None
 
 
 class Tree:
@@ -56,9 +48,6 @@ class Tree:
     def n_leaves(self) -> int:
         return int((self.var == _LEAF).sum())
 
-    def is_leaf(self, node: int) -> bool:
-        return self.var[node] == _LEAF
-
     def leaf_values(self) -> np.ndarray:
         """Leaf means in pre-order."""
         return self.leaf_value[self.var == _LEAF]
@@ -66,18 +55,6 @@ class Tree:
     def split_counts(self, p: int) -> np.ndarray:
         """Number of internal nodes splitting on each of ``p`` variables."""
         return np.bincount(self.var[self.var >= 0], minlength=p)
-
-    def depth(self) -> int:
-        """Longest root-to-node edge count."""
-        out = 0
-        stack = [(0, 0)]
-        while stack:
-            node, d = stack.pop()
-            out = max(out, d)
-            if self.var[node] >= 0:
-                stack.append((int(self.left[node]), d + 1))
-                stack.append((int(self.right[node]), d + 1))
-        return out
 
     def predict(self, X: PredictorMatrix) -> np.ndarray:
         """Evaluate the tree's step function on every row of ``X``.
@@ -110,19 +87,27 @@ class Tree:
 
     @classmethod
     def from_records(cls, records: list, n_features: int | None = None) -> "Tree":
-        """Rebuild a tree from its pre-order records, validating as it goes."""
+        """Rebuild a tree from its pre-order records, validating as it goes.
+
+        Node ``i`` is record ``i``, and a split's left child is the next
+        record.  The splits still waiting for a right child form a stack, so
+        any depth parses without recursion.
+        """
         if not isinstance(records, list) or not records:
             raise ModelFormatError("tree record list is empty or not a list")
         var, cut, left, right, leaf_value = [], [], [], [], []
-
-        def parse(pos: int) -> tuple[int, int]:
-            if pos >= len(records):
-                raise ModelFormatError("tree records truncated mid-subtree")
-            rec = records[pos]
+        open_splits: list[int] = []
+        for pos, rec in enumerate(records):
+            if pos > 0 and var[-1] == _LEAF:
+                if not open_splits:
+                    raise ModelFormatError(
+                        f"{len(records) - pos} trailing tree records after the root"
+                        " subtree"
+                    )
+                right[open_splits.pop()] = pos
             if not isinstance(rec, (list, tuple)) or not rec:
                 raise ModelFormatError(f"malformed tree record at {pos}: {rec!r}")
             tag = rec[0]
-            node = len(var)
             if tag == "leaf":
                 if len(rec) != 2:
                     raise ModelFormatError(f"leaf record needs 1 value: {rec!r}")
@@ -130,32 +115,46 @@ class Tree:
                 cut.append(0.0)
                 left.append(_LEAF)
                 right.append(_LEAF)
-                leaf_value.append(float(rec[1]))
-                return node, pos + 1
-            if tag == "split":
+                leaf_value.append(_finite(rec[1], "leaf value", pos))
+            elif tag == "split":
                 if len(rec) != 3:
                     raise ModelFormatError(f"split record needs var and cut: {rec!r}")
-                v = int(rec[1])
+                v = rec[1]
+                if type(v) is not int:
+                    raise ModelFormatError(
+                        f"split variable {v!r} at record {pos} is not an integer"
+                    )
                 if v < 0 or (n_features is not None and v >= n_features):
                     raise ModelFormatError(f"split variable {v} out of range")
                 var.append(v)
-                cut.append(float(rec[2]))
-                left.append(0)
+                cut.append(_finite(rec[2], "cut value", pos))
+                left.append(pos + 1)
                 right.append(0)
                 leaf_value.append(0.0)
-                left_id, nxt = parse(pos + 1)
-                right_id, nxt = parse(nxt)
-                left[node] = left_id
-                right[node] = right_id
-                return node, nxt
-            raise ModelFormatError(f"unknown tree record tag {tag!r}")
-
-        root, end = parse(0)
-        if end != len(records):
-            raise ModelFormatError(
-                f"{len(records) - end} trailing tree records after the root subtree"
-            )
+                open_splits.append(pos)
+            else:
+                raise ModelFormatError(f"unknown tree record tag {tag!r}")
+        if open_splits:
+            raise ModelFormatError("tree records truncated mid-subtree")
         return cls(var, cut, left, right, leaf_value)
+
+
+def _finite(value, field: str, pos: int) -> float:
+    # a finite float passes the cheap test; anything else gets the full check
+    if type(value) is float and value - value == 0.0:
+        return value
+    return parse_finite(value, f"{field} at record {pos}")
+
+
+def parse_finite(value, field: str) -> float:
+    """``value`` as a finite float, or a ``ModelFormatError`` naming ``field``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if isinstance(value, (str, bool)) or not math.isfinite(out):
+        raise ModelFormatError(f"{field} is not a finite number: {value!r}")
+    return out
 
 
 def sample_leaf_value(
@@ -180,13 +179,13 @@ def grow_tree(
     residuals: np.ndarray,
     sigma2: float,
     tau: float,
-    params: GrowParams,
+    params: Hyperparams,
     rng: np.random.Generator,
     var_weights: np.ndarray | None = None,
-    fitted_out: np.ndarray | None = None,
-    split_count_out: np.ndarray | None = None,
-    tie_free: np.ndarray | None = None,
-    workspace: np.ndarray | None = None,
+    *,
+    fitted_out: np.ndarray,
+    split_count_out: np.ndarray,
+    tie_free: np.ndarray,
 ) -> Tree:
     """Grow one tree from the root over the rows listed in ``index``.
 
@@ -194,14 +193,19 @@ def grow_tree(
     ----------
     residuals : ndarray over all n rows
         Partial residuals this tree should fit, indexed by row id.
+    params : Hyperparams
+        Read for ``alpha``, ``beta``, ``max_depth``, ``min_node_size``,
+        ``mtry`` and ``n_cutpoints``, the last of which must be resolved.
     var_weights : optional probability vector over all p columns
-        Activates per-node variable subsampling when ``params.mtry`` is
-        smaller than p; ``None`` scores every column.
-    fitted_out : optional length-n array
+        When given, each node scores ``params.mtry`` columns drawn from it
+        without replacement; ``None`` scores every column.
+    fitted_out : length-n array
         Filled in place with the grown tree's fitted value for every row of
         the node (cheaper than re-evaluating the tree afterwards).
-    split_count_out : optional length-p int array
+    split_count_out : length-p int array
         Incremented in place with this tree's split counts per variable.
+    tie_free : bool array over all p columns
+        ``X.tie_free_columns()``, passed on to the cutpoint grid.
 
     Returns the grown tree with all leaf means sampled.
     """
@@ -209,12 +213,7 @@ def grow_tree(
         raise DataError(f"noise variance must be positive, got {sigma2}")
     if tau < 0.0:
         raise DataError(f"leaf prior variance must be non-negative, got {tau}")
-    if workspace is None:
-        workspace = np.zeros(X.n, dtype=bool)
-    p = X.p
-    mtry_active = (
-        var_weights is not None and params.mtry is not None and params.mtry < p
-    )
+    workspace = np.zeros(X.n, dtype=bool)
     var_l: list[int] = []
     cut_l: list[float] = []
     left_l: list[int] = []
@@ -229,8 +228,7 @@ def grow_tree(
         left_l.append(_LEAF)
         right_l.append(_LEAF)
         mu_l.append(mu)
-        if fitted_out is not None:
-            fitted_out[node_index[0]] = mu
+        fitted_out[node_index[0]] = mu
         return node
 
     def recurse(node_index: np.ndarray, depth: int) -> int:
@@ -238,16 +236,16 @@ def grow_tree(
         total = float(residuals[node_index[0]].sum())
         if depth >= params.max_depth - 1 or m < max(2, 2 * params.min_node_size):
             return add_leaf(node_index, total, m)
-        if mtry_active:
+        if var_weights is not None:
             chosen = np.sort(
-                rng.choice(p, size=params.mtry, replace=False, p=var_weights)
+                rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
             )
         else:
             chosen = None
         grid = build_cutpoint_grid(
             X,
             node_index,
-            params.budget,
+            params.n_cutpoints,
             params.min_node_size,
             variables=chosen,
             tie_free=tie_free,
@@ -275,8 +273,7 @@ def grow_tree(
         left_l.append(0)
         right_l.append(0)
         mu_l.append(0.0)
-        if split_count_out is not None:
-            split_count_out[choice.var] += 1
+        split_count_out[choice.var] += 1
         left_index, right_index = sift(X, node_index, choice.var, choice.value, workspace)
         left_l[node] = recurse(left_index, depth + 1)
         right_l[node] = recurse(right_index, depth + 1)

@@ -3,6 +3,8 @@
 import numpy as np
 from scipy import integrate
 
+from xbart.errors import DataError
+
 
 def quad_node_loglik(y, sigma2: float, tau: float) -> float:
     """Numerically integrate the leaf-mean prior out of one node's likelihood.
@@ -55,6 +57,19 @@ def naive_candidate_scores(X_cols, node_ids, residuals, grid, sigma2, tau, score
     return out
 
 
+def tree_depth(tree) -> int:
+    """Longest root-to-node edge count, by an explicit stack walk."""
+    out = 0
+    stack = [(0, 0)]
+    while stack:
+        node, d = stack.pop()
+        out = max(out, d)
+        if tree.var[node] >= 0:
+            stack.append((int(tree.left[node]), d + 1))
+            stack.append((int(tree.right[node]), d + 1))
+    return out
+
+
 def walk_tree(tree, x) -> float:
     """Evaluate one tree on one row by an explicit python descent."""
     node = 0
@@ -65,3 +80,45 @@ def walk_tree(tree, x) -> float:
             else int(tree.right[node])
         )
     return float(tree.leaf_value[node])
+
+
+def theoretical_split_criterion(
+    prob_left: float, mean_left: float, mean_right: float, sigma2: float
+) -> float:
+    """Population limit of the scaled split criterion at one cutpoint.
+
+    For a candidate that puts mass ``prob_left`` in the left cell, the limit
+    is ``(P_l E[Y|left]^2 + P_r E[Y|right]^2) / sigma2``.
+    """
+    return (
+        prob_left * mean_left**2 + (1.0 - prob_left) * mean_right**2
+    ) / sigma2
+
+
+def empirical_split_criterion(
+    y: np.ndarray,
+    x: np.ndarray,
+    cut: float,
+    sigma2: float,
+    tau: float,
+    gumbel: float = 0.0,
+) -> float:
+    """Finite-sample scaled criterion whose large-n limit is the theoretical one.
+
+    This is the per-observation version of the split score: quadratic terms
+    weighted by ``tau n_b / (sigma2 (sigma2 + tau n_b))``, the two
+    log-variance-ratio terms, and optionally a realised Gumbel perturbation,
+    all divided by the sample size.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    n = y.size
+    on_left = x <= cut
+    parts = []
+    for side in (y[on_left], y[~on_left]):
+        if side.size == 0:
+            raise DataError("cut leaves one side of the empirical criterion empty")
+        coef = tau * side.size / (sigma2 * (sigma2 + tau * side.size))
+        explained = np.sum(side**2) - np.sum((side - side.mean()) ** 2)
+        parts.append(coef * explained + np.log(sigma2 / (sigma2 + tau * side.size)))
+    return (parts[0] + parts[1] + gumbel) / n

@@ -9,7 +9,12 @@ import time
 
 import numpy as np
 
-from conftest import naive_candidate_scores, quad_node_loglik
+from conftest import (
+    empirical_split_criterion,
+    naive_candidate_scores,
+    quad_node_loglik,
+    theoretical_split_criterion,
+)
 from xbart.bench import run_bench
 from xbart.cli import main
 from xbart.data import PredictorMatrix, build_cutpoint_grid, presort
@@ -18,12 +23,10 @@ from xbart.model import fit, load_model
 from xbart.simulate import DgpSpec
 from xbart.splitting import (
     CandidateScores,
-    empirical_split_criterion,
     node_marginal_loglik,
     sample_cutpoint,
     scan_candidates,
     split_loglik,
-    theoretical_split_criterion,
 )
 from xbart.tree import sample_leaf_value
 from xbart.data import CutpointGrid

@@ -186,6 +186,23 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_truncated_model_file(self, tmp_path, train_csv, capsys):
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--train", train_csv, "--target", "y", "--trees", "2",
+                     "--sweeps", "2", "--burnin", "1", "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        # 3000 nested splits whose last leaf is missing
+        deep = [["split", 0, 0.0]] * 3000 + [["leaf", 0.0]] * 3000
+        payload["draws"][0]["trees"][0] = deep
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_path), "--data", train_csv,
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_invalid_dgp_width(self, capsys):
         code = main(
             ["bench", "--dgp", "single_index", "--n", "50", "--p", "3",

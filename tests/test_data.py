@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbart.data import (
-    CategoricalColumn,
     PredictorMatrix,
     build_cutpoint_grid,
-    categorical_stats,
     presort,
     read_csv_dataset,
     read_csv_features,
@@ -130,9 +128,6 @@ class TestCutpointGrid:
         grid = build_cutpoint_grid(X, presort(X), budget=100)
         assert grid.values.tolist() == [1.0, 2.0]
         assert grid.ranks.tolist() == [1, 4]
-        summary = CategoricalColumn.from_values(col)
-        assert summary.unique_val.tolist() == [1.0, 2.0, 5.0]
-        assert summary.val_count.tolist() == [2, 3, 1]
 
     def test_categorical_ignores_stride_budget(self):
         # 40 levels, budget 5: every level except the largest stays a candidate
@@ -199,34 +194,11 @@ class TestCutpointGrid:
         assert set(grid.var_ids.tolist()) <= {1, 3}
 
 
-class TestCategoricalStats:
-    def test_worked_example(self):
-        col = CategoricalColumn(np.array([1.0, 2.0]), np.array([2, 3]))
-        sums = categorical_stats(col, [1.0, 1.0, 2.0, 2.0, 2.0])
-        assert sums.tolist() == [2.0, 8.0]
-
-    def test_length_mismatch_rejected(self):
-        col = CategoricalColumn(np.array([1.0]), np.array([3]))
-        with pytest.raises(DataError):
-            categorical_stats(col, [1.0, 2.0])
-
-    def test_random_ties_match_filter_oracle(self):
-        rng = np.random.default_rng(99)
-        for _ in range(25):
-            values = np.sort(rng.integers(0, 6, size=rng.integers(2, 40)).astype(float))
-            resid = rng.normal(size=values.size)
-            col = CategoricalColumn.from_values(values)
-            sums = categorical_stats(col, resid)
-            for i, level in enumerate(col.unique_val):
-                expected = resid[values <= level].sum()
-                assert sums[i] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
 class TestPredictorMatrix:
     def test_from_rows_transposes(self):
         X = PredictorMatrix.from_rows([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
         assert (X.n, X.p) == (3, 2)
-        assert X.column(1).tolist() == [10.0, 20.0, 30.0]
+        assert X.columns[1].tolist() == [10.0, 20.0, 30.0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -240,8 +212,7 @@ class TestPredictorMatrix:
 
     def test_kind_labels(self):
         X = PredictorMatrix([[1.0], [2.0]], categorical=[False, True])
-        assert X.kind(0) == "continuous"
-        assert X.kind(1) == "categorical"
+        assert X.categorical.tolist() == [False, True]
 
     def test_tie_free_detection(self):
         X = PredictorMatrix(
@@ -260,7 +231,7 @@ class TestCsvIngestion:
         f = self._write(tmp_path / "d.csv", "a,b,y\n1,4.5,0.1\n2,5.5,0.2\n")
         ds = read_csv_dataset(f, target="y")
         assert ds.feature_names == ["a", "b"]
-        assert ds.X.column(0).tolist() == [1.0, 2.0]
+        assert ds.X.columns[0].tolist() == [1.0, 2.0]
         assert ds.y.tolist() == [0.1, 0.2]
 
     def test_schema_marks_categorical(self, tmp_path):
@@ -316,7 +287,7 @@ class TestCsvIngestion:
             f, ["a", "b"], categorical=np.array([False, False])
         )
         assert names == ["a", "b"]
-        assert X.column(0).tolist() == [1.0, 2.0]  # training order, not file order
+        assert X.columns[0].tolist() == [1.0, 2.0]  # training order, not file order
 
     def test_predict_features_missing_column(self, tmp_path):
         f = self._write(tmp_path / "d.csv", "a,y\n1,2\n")

@@ -12,6 +12,7 @@ from xbart.forest import (
     update_tau,
     update_variable_weights,
 )
+from xbart.model import fit
 
 
 def _toy(n=60, p=3, seed=0):
@@ -27,7 +28,6 @@ class TestHyperparams:
         assert (h.n_trees, h.n_sweeps, h.burnin) == (20, 40, 15)
         assert (h.alpha, h.beta) == (0.95, 1.25)
         assert h.sample_tau is True
-        assert h.n_retained == 25
 
     @pytest.mark.parametrize(
         "kw",
@@ -54,7 +54,8 @@ class TestHyperparams:
             Hyperparams(**kw)
 
     def test_burnin_zero_is_allowed(self):
-        assert Hyperparams(n_sweeps=1, burnin=0).n_retained == 1
+        X, y = _toy(n=30)
+        assert len(fit(X, y, Hyperparams(n_trees=2, n_sweeps=1, burnin=0)).draws) == 1
 
 
 class TestVarianceDraws:
@@ -148,14 +149,14 @@ class TestSamplerSetup:
         X, y = _toy(n=250)
         s = ForestSampler(X, y, Hyperparams(n_trees=8), seed=0)
         var_y = float(np.var(y, ddof=1))
-        assert s.budget == 100  # min(n, 100)
-        assert s.mtry == 3
+        assert s.grow_params.n_cutpoints == 100  # min(n, 100)
+        assert s.grow_params.mtry == 3
         assert s.b_sigma == pytest.approx(var_y, rel=1e-12)
         assert s.b_tau == pytest.approx(0.5 * var_y / 8, rel=1e-12)
 
     def test_small_n_budget(self):
         X, y = _toy(n=40)
-        assert ForestSampler(X, y).budget == 40
+        assert ForestSampler(X, y).grow_params.n_cutpoints == 40
 
     def test_mtry_exceeding_p_rejected(self):
         X, y = _toy()

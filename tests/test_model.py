@@ -31,6 +31,15 @@ def _manual_model(draws, y_offset=0.0, n_features=2):
     )
 
 
+def _first_tree(records):
+    """A payload edit that replaces the first tree of the first draw."""
+
+    def edit(payload):
+        payload["draws"][0]["trees"][0] = records
+
+    return edit
+
+
 class TestPrediction:
     def test_root_only_forest_is_constant(self):
         trees = [Tree.single_leaf(0.25) for _ in range(4)]
@@ -213,6 +222,51 @@ class TestPersistence:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def _edited(self, tmp_path, edit):
+        _, model = self._fitted(seed=6)
+        path = tmp_path / "m.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("y_offset", lambda p: p.update(y_offset=np.nan)),
+            ("y_offset", lambda p: p.update(y_offset=np.inf)),
+            ("sigma2", lambda p: p["draws"][0].update(sigma2=np.inf)),
+            ("tau", lambda p: p["draws"][1].update(tau=np.nan)),
+            ("cut value", _first_tree([["split", 0, -np.inf], ["leaf", 0.0], ["leaf", 0.0]])),
+            ("leaf value", _first_tree([["split", 0, 0.0], ["leaf", np.nan], ["leaf", 0.0]])),
+            ("leaf value", _first_tree([["leaf", "1.0"]])),
+            ("split variable", _first_tree([["split", 1.9, 0.0], ["leaf", 0.0], ["leaf", 0.0]])),
+            ("categorical", lambda p: p.update(categorical=[0, 0])),
+            ("feature_names", lambda p: p.update(feature_names=["u", "v", "w", "x"])),
+            ("n_features", lambda p: p.update(n_features=2.5)),
+        ],
+        ids=[
+            "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau", "inf_cut",
+            "nan_leaf", "string_leaf", "fractional_split_variable",
+            "short_categorical", "long_feature_names", "fractional_n_features",
+        ],
+    )
+    def test_malformed_field_rejected_at_load(self, tmp_path, field, edit):
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(self._edited(tmp_path, edit))
+
+    def test_deep_tree_records_load_without_recursion(self, tmp_path):
+        depth = 3000
+        chain = [["split", 0, 0.0]] * depth + [["leaf", 1.0]] * (depth + 1)
+        tree = load_model(self._edited(tmp_path, _first_tree(chain))).draws[0].trees[0]
+        assert tree.n_nodes == 2 * depth + 1
+        X = PredictorMatrix.from_rows(np.ones((4, 3)))
+        assert tree.predict(X).tolist() == [1.0] * 4
+        # the same chain cut short is malformed, not a recursion failure
+        with pytest.raises(ModelFormatError, match="truncated"):
+            load_model(self._edited(tmp_path, _first_tree(chain[:-1])))
 
     def test_no_retained_draws(self, tmp_path):
         _, model = self._fitted(seed=7)

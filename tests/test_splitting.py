@@ -6,18 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import naive_candidate_scores, quad_node_loglik
+from conftest import (
+    empirical_split_criterion,
+    naive_candidate_scores,
+    quad_node_loglik,
+    theoretical_split_criterion,
+)
 from xbart.data import CutpointGrid, PredictorMatrix, build_cutpoint_grid, presort
 from xbart.errors import ConfigError, DataError
 from xbart.splitting import (
     CandidateScores,
-    empirical_split_criterion,
     no_split_log_weight,
     node_marginal_loglik,
     sample_cutpoint,
     scan_candidates,
     split_loglik,
-    theoretical_split_criterion,
 )
 
 
@@ -353,7 +356,7 @@ class TestSampleCutpoint:
 
     def test_uniform_at_one_clamps_to_last_option(self):
         scores = self._scores([1.0, 1.0], 1.0)
-        cdf = scores._cumulative()
+        cdf = np.cumsum(scores.probabilities())
         choice = sample_cutpoint(scores, _FixedUniform(float(cdf[-1])))
         assert choice is None  # the last option here is no-split
 

@@ -3,20 +3,27 @@
 import numpy as np
 import pytest
 
-from conftest import walk_tree
+from conftest import tree_depth, walk_tree
 from xbart.data import PredictorMatrix, presort
 from xbart.errors import DataError, ModelFormatError
-from xbart.tree import GrowParams, Tree, grow_tree, sample_leaf_value
+from xbart.forest import Hyperparams
+from xbart.tree import Tree, grow_tree, sample_leaf_value
 
 
-def _grow(X, resid, seed=0, **kw):
-    defaults = dict(sigma2=1.0, tau=1.0, params=GrowParams())
-    defaults.update(kw)
+def _params(**kw):
+    """Hyperparams as the sampler resolves them: a 100-cutpoint budget."""
+    return Hyperparams(**{"n_cutpoints": 100, **kw})
+
+
+def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=None, **kw):
+    kw.setdefault("fitted_out", np.empty(X.n))
+    kw.setdefault("split_count_out", np.zeros(X.p, dtype=np.int64))
+    kw.setdefault("tie_free", X.tie_free_columns())
     return grow_tree(
-        X, presort(X), np.asarray(resid, dtype=float),
-        defaults["sigma2"], defaults["tau"], defaults["params"],
-        np.random.default_rng(seed),
-        **{k: v for k, v in defaults.items() if k not in ("sigma2", "tau", "params")},
+        X, presort(X) if index is None else index, np.asarray(resid, dtype=float),
+        sigma2, tau, _params() if params is None else params,
+        np.random.default_rng(seed) if rng is None else rng,
+        **kw,
     )
 
 
@@ -75,7 +82,7 @@ class TestEvaluation:
         X = PredictorMatrix.from_rows([r for r, _ in rows])
         assert tree.predict(X).tolist() == [v for _, v in rows]
         assert tree.n_leaves == 3
-        assert tree.depth() == 2
+        assert tree_depth(tree) == 2
 
     def test_predict_matches_explicit_descent(self):
         rng = np.random.default_rng(222)
@@ -103,7 +110,7 @@ class TestGrow:
         rng_data = np.random.default_rng(4)
         X = PredictorMatrix(rng_data.normal(size=(2, 40)))
         resid = rng_data.normal(size=40)
-        tree = _grow(X, resid, seed=10, params=GrowParams(max_depth=1))
+        tree = _grow(X, resid, seed=10, params=_params(max_depth=1))
         assert tree.n_nodes == 1 and tree.n_leaves == 1
         # node totals are accumulated in the variable-0 sorted order
         total = float(resid[presort(X)[0]].sum())
@@ -121,9 +128,9 @@ class TestGrow:
         rng = np.random.default_rng(6)
         X = PredictorMatrix(rng.normal(size=(2, 300)))
         resid = np.sign(X.columns[0]) + rng.normal(size=300)
-        params = GrowParams(max_depth=4, min_node_size=10)
+        params = _params(max_depth=4, min_node_size=10)
         tree = _grow(X, resid, seed=2, sigma2=0.1, params=params)
-        assert tree.depth() <= params.max_depth - 1
+        assert tree_depth(tree) <= params.max_depth - 1
         # count training rows landing in each leaf
         fitted = tree.predict(X)
         for value in tree.leaf_values():
@@ -134,10 +141,7 @@ class TestGrow:
         X = PredictorMatrix(rng.normal(size=(4, 90)))
         resid = rng.normal(size=90)
         fitted = np.full(90, np.nan)
-        tree = grow_tree(
-            X, presort(X), resid, 0.5, 1.0, GrowParams(),
-            np.random.default_rng(1), fitted_out=fitted,
-        )
+        tree = _grow(X, resid, seed=1, sigma2=0.5, fitted_out=fitted)
         np.testing.assert_array_equal(fitted, tree.predict(X))
 
     def test_split_count_out_accumulates(self):
@@ -145,10 +149,7 @@ class TestGrow:
         X = PredictorMatrix(rng.normal(size=(3, 150)))
         resid = X.columns[1] * 3 + rng.normal(size=150) * 0.1
         counts = np.zeros(3, dtype=np.int64)
-        tree = grow_tree(
-            X, presort(X), resid, 0.05, 1.0, GrowParams(),
-            np.random.default_rng(3), split_count_out=counts,
-        )
+        tree = _grow(X, resid, seed=3, sigma2=0.05, split_count_out=counts)
         assert counts.tolist() == tree.split_counts(3).tolist()
         assert counts.sum() == tree.n_nodes - tree.n_leaves
 
@@ -168,12 +169,12 @@ class TestGrow:
         resid = np.where(x < 50, -1.0, 1.0)
         X = PredictorMatrix([x])
         index = presort(X)
-        params = GrowParams(budget=n, max_depth=2)
+        params = _params(n_cutpoints=n, max_depth=2)
         hits = 0
         trials = 1000
         rng = np.random.default_rng(1234)
         for _ in range(trials):
-            tree = grow_tree(X, index, resid, 0.01, 1.0, params, rng)
+            tree = _grow(X, resid, sigma2=0.01, params=params, rng=rng, index=index)
             if tree.n_nodes == 3 and tree.cut[0] == 49.0:
                 hits += 1
         assert hits >= 0.95 * trials
@@ -191,9 +192,8 @@ class TestGrow:
         X = PredictorMatrix(rng.normal(size=(4, 60)))
         resid = rng.normal(size=60)
         weights = np.array([0.0, 0.0, 1.0, 0.0])
-        tree = grow_tree(
-            X, presort(X), resid, 0.2, 1.0,
-            GrowParams(mtry=1), np.random.default_rng(4), var_weights=weights,
+        tree = _grow(
+            X, resid, seed=4, sigma2=0.2, params=_params(mtry=1), var_weights=weights
         )
         assert set(tree.var[tree.var >= 0].tolist()) <= {2}
         assert tree.n_leaves > 1
@@ -207,7 +207,7 @@ class TestGrow:
 
     def test_tiny_node_cannot_split(self):
         X = PredictorMatrix([[0.0, 1.0, 2.0]])
-        tree = _grow(X, [5.0, -5.0, 5.0], params=GrowParams(min_node_size=2))
+        tree = _grow(X, [5.0, -5.0, 5.0], params=_params(min_node_size=2))
         assert tree.n_nodes == 1  # 3 rows < 2 * min_node_size
 
 
@@ -239,6 +239,10 @@ class TestRecords:
             [["split", 0, 0.5], ["leaf", 1.0]],  # missing right subtree
             [["leaf", 1.0], ["leaf", 2.0]],  # trailing records
             [["split", -2, 0.5], ["leaf", 1.0], ["leaf", 2.0]],
+            [["split", 1.0, 0.5], ["leaf", 1.0], ["leaf", 2.0]],  # non-integer variable
+            [["split", 0, float("nan")], ["leaf", 1.0], ["leaf", 2.0]],
+            [["leaf", float("inf")]],
+            [["leaf", "1.0"]],
         ],
     )
     def test_malformed_records_rejected(self, records):
