@@ -1,6 +1,6 @@
 """Column-oriented training data and the presorted-index machinery.
 
-The tree sampler never re-sorts observations inside the recursion.  Each
+The tree sampler never re-sorts observations while a tree grows.  Each
 variable's observation order is computed once at the root (``presort``) and
 then partitioned into child orderings that stay sorted (``sift``).  A node's
 ordering is a plain integer array of shape ``(p, m)``: row ``v`` holds the

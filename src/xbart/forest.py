@@ -87,19 +87,6 @@ class SweepDraw:
     tau: float
 
 
-@dataclass
-class ModelState:
-    """Mutable sampler state threaded through the sweep loop."""
-
-    sigma2: float
-    tau: float
-    fitted: np.ndarray          # (n_trees, n) per-tree fitted values
-    residual: np.ndarray        # (n,) y_centred minus the sum of fits
-    split_counts: np.ndarray    # (n_trees, p) per-tree splits per variable
-    weight_counts: np.ndarray   # (p,) ones + total split counts
-    weights: np.ndarray         # (p,) current variable-selection weights
-
-
 def update_sigma2(
     residual: np.ndarray, a_sigma: float, b_sigma: float, rng: np.random.Generator
 ) -> float:
@@ -125,23 +112,19 @@ def update_tau(
 
 
 def update_variable_weights(
-    weight_counts: np.ndarray,
-    old_counts: np.ndarray,
-    new_counts: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap one tree's split counts into the running totals, redraw weights.
+    split_counts: np.ndarray, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Redraw the variable-selection weights from the forest's split counts.
 
-    Returns the updated count vector and the new selection weights — a
-    Dirichlet draw when ``rng`` is given, otherwise the normalised counts
-    (the draw is skipped when no subsampling will consume it).
+    ``split_counts`` is (n_trees, p); the Dirichlet parameter is one plus
+    each variable's total.  Returns a Dirichlet draw when ``rng`` is given,
+    otherwise the normalised parameter (the draw is skipped when no
+    subsampling will consume it).
     """
-    counts = weight_counts + new_counts - old_counts
-    if np.any(counts < 1):
-        raise DataError("variable weight counts fell below their ones floor")
+    counts = 1 + split_counts.sum(axis=0)
     if rng is None:
-        return counts, counts / counts.sum()
-    return counts, rng.dirichlet(counts)
+        return counts / counts.sum()
+    return rng.dirichlet(counts)
 
 
 class ForestSampler:
@@ -202,49 +185,37 @@ class ForestSampler:
 
         L = self.params.n_trees
         self.trees: list[Tree] = [Tree.single_leaf(0.0) for _ in range(L)]
-        self.state = ModelState(
-            sigma2=var_y,
-            tau=var_y / L,
-            fitted=np.zeros((L, X.n)),
-            residual=self.y_centred.copy(),
-            split_counts=np.zeros((L, p), dtype=np.int64),
-            weight_counts=np.ones(p),
-            weights=np.full(p, 1.0 / p),
-        )
-        self.sweeps_done = 0
+        self.sigma2 = var_y
+        self.tau = var_y / L
+        self.fitted = np.zeros((L, X.n))  # per-tree fitted values
+        self.residual = self.y_centred.copy()  # y_centred minus the sum of fits
+        self.split_counts = np.zeros((L, p), dtype=np.int64)  # per-tree splits
+        self.weights = np.full(p, 1.0 / p)  # variable-selection weights
         self.draws: list[SweepDraw] = []
 
     def update_tree(self, h: int) -> None:
         """Regrow tree ``h`` against its partial residuals, then redraw sigma^2."""
-        st = self.state
-        partial = st.residual + st.fitted[h]
-        new_counts = np.zeros(self.X.p, dtype=np.int64)
-        fitted_new = np.empty(self.X.n)
+        partial = self.residual + self.fitted[h]
+        self.split_counts[h] = 0
         subsample = self.grow_params.mtry < self.X.p
-        tree = grow_tree(
+        self.trees[h] = grow_tree(
             self.X,
             self.root_index,
             partial,
-            st.sigma2,
-            st.tau,
+            self.sigma2,
+            self.tau,
             self.grow_params,
             self.rng,
-            var_weights=st.weights if subsample and self.sweeps_done >= 1 else None,
-            fitted_out=fitted_new,
-            split_count_out=new_counts,
+            var_weights=self.weights if subsample and self.draws else None,
+            fitted_out=self.fitted[h],
+            split_count_out=self.split_counts[h],
             tie_free=self.tie_free,
         )
-        self.trees[h] = tree
-        st.fitted[h] = fitted_new
-        st.residual = partial - fitted_new
-        st.weight_counts, st.weights = update_variable_weights(
-            st.weight_counts,
-            st.split_counts[h],
-            new_counts,
-            self.rng if subsample else None,
+        self.residual = partial - self.fitted[h]
+        self.weights = update_variable_weights(
+            self.split_counts, self.rng if subsample else None
         )
-        st.split_counts[h] = new_counts
-        st.sigma2 = update_sigma2(st.residual, self.params.a_sigma, self.b_sigma, self.rng)
+        self.sigma2 = update_sigma2(self.residual, self.params.a_sigma, self.b_sigma, self.rng)
 
     def run_sweep(self) -> SweepDraw:
         """One full pass over the ensemble plus the end-of-sweep tau draw."""
@@ -252,21 +223,18 @@ class ForestSampler:
             self.update_tree(h)
         if self.params.sample_tau:
             leaf_values = np.concatenate([t.leaf_values() for t in self.trees])
-            self.state.tau = update_tau(
-                leaf_values, self.params.a_tau, self.b_tau, self.rng
-            )
-        self.sweeps_done += 1
+            self.tau = update_tau(leaf_values, self.params.a_tau, self.b_tau, self.rng)
         draw = SweepDraw(
-            sweep=self.sweeps_done,
+            sweep=len(self.draws) + 1,
             trees=list(self.trees),
-            sigma2=self.state.sigma2,
-            tau=self.state.tau,
+            sigma2=self.sigma2,
+            tau=self.tau,
         )
         self.draws.append(draw)
         return draw
 
     def run(self) -> list[SweepDraw]:
         """Run every remaining sweep; returns all snapshots in sweep order."""
-        while self.sweeps_done < self.params.n_sweeps:
+        while len(self.draws) < self.params.n_sweeps:
             self.run_sweep()
         return self.draws

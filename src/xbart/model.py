@@ -10,7 +10,7 @@ bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,15 +21,15 @@ from .tree import Tree, parse_finite
 
 _FORMAT = "xbart-model"
 _VERSION = 1
+# JSON types accepted for each ``Hyperparams`` annotation (``| None`` aside)
+_PARAM_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass
 class FittedModel:
     """Everything needed to predict: retained draws plus the data schema.
 
-    ``draws`` holds only post-burn-in snapshots.  ``history`` carries the
-    full sweep record for in-memory fits (variance traces, diagnostics) and
-    is ``None`` for models loaded from disk.
+    ``draws`` holds only post-burn-in snapshots.
     """
 
     params: Hyperparams
@@ -38,7 +38,6 @@ class FittedModel:
     categorical: np.ndarray
     feature_names: list[str] | None
     draws: list[SweepDraw]
-    history: list[SweepDraw] | None = None
 
     def _check_features(self, X) -> PredictorMatrix:
         if not isinstance(X, PredictorMatrix):
@@ -108,15 +107,13 @@ def fit(X, y, params: Hyperparams | None = None, seed=0) -> FittedModel:
     columns continuous).  ``seed`` feeds ``numpy.random.default_rng``.
     """
     sampler = ForestSampler(X, y, params=params, seed=seed)
-    draws = sampler.run()
     return FittedModel(
         params=sampler.params,
         y_offset=sampler.y_offset,
         n_features=sampler.X.p,
         categorical=sampler.X.categorical.copy(),
         feature_names=list(sampler.X.names) if sampler.X.names else None,
-        draws=draws[sampler.params.burnin :],
-        history=draws,
+        draws=sampler.run()[sampler.params.burnin :],
     )
 
 
@@ -137,11 +134,15 @@ def load_model(path) -> FittedModel:
             f"this build reads version {_VERSION}"
         )
     try:
-        params = Hyperparams(**payload["params"])
+        params = _load_params(payload["params"])
         n_features = payload["n_features"]
         if type(n_features) is not int or n_features < 1:
             raise ModelFormatError(
                 f"n_features is not a positive integer: {n_features!r}"
+            )
+        if params.mtry is not None and params.mtry > n_features:
+            raise ModelFormatError(
+                f"params.mtry={params.mtry} exceeds n_features={n_features}"
             )
         categorical = np.asarray(payload["categorical"], dtype=bool)
         if categorical.shape != (n_features,):
@@ -158,12 +159,7 @@ def load_model(path) -> FittedModel:
                 f"feature_names is not a list of {n_features} strings: {feature_names!r}"
             )
         draws = [
-            SweepDraw(
-                sweep=int(d["sweep"]),
-                trees=[Tree.from_records(t, n_features) for t in d["trees"]],
-                sigma2=parse_finite(d["sigma2"], f"sigma2 of draw {k}"),
-                tau=parse_finite(d["tau"], f"tau of draw {k}"),
-            )
+            _load_draw(d, k, params.n_trees, n_features)
             for k, d in enumerate(payload["draws"])
         ]
         model = FittedModel(
@@ -181,3 +177,34 @@ def load_model(path) -> FittedModel:
     if not model.draws:
         raise ModelFormatError(f"{path}: model holds no retained draws")
     return model
+
+
+def _load_params(raw) -> Hyperparams:
+    """The stored ``params``, each field checked against its annotation."""
+    for field in fields(Hyperparams):
+        value = raw[field.name]
+        kind, _, optional = field.type.partition(" | ")
+        if not (value is None and optional) and (
+            type(value) not in _PARAM_TYPES[kind] or value - value != 0
+        ):
+            raise ModelFormatError(
+                f"params.{field.name} is not a valid {field.type}: {value!r}"
+            )
+    return Hyperparams(**raw)
+
+
+def _load_draw(d: dict, k: int, n_trees: int, n_features: int) -> SweepDraw:
+    """Stored draw ``k``, its sweep number and tree count checked."""
+    sweep, trees = d["sweep"], d["trees"]
+    if type(sweep) is not int or sweep < 1:
+        raise ModelFormatError(f"sweep of draw {k} is not a positive integer: {sweep!r}")
+    if len(trees) != n_trees:
+        raise ModelFormatError(
+            f"draw {k} holds {len(trees)} trees, but params.n_trees is {n_trees}"
+        )
+    return SweepDraw(
+        sweep=sweep,
+        trees=[Tree.from_records(t, n_features) for t in trees],
+        sigma2=parse_finite(d["sigma2"], f"sigma2 of draw {k}"),
+        tau=parse_finite(d["tau"], f"tau of draw {k}"),
+    )

@@ -1,12 +1,15 @@
-"""Stochastic recursive growth and evaluation of a single regression tree.
+"""Stochastic growth and evaluation of a single regression tree.
 
 A tree is grown from the root by repeatedly sampling a cutpoint from the
 softmax over marginal-likelihood scores (or stopping on the no-split
-option), sifting the node's presorted index into children, and recursing —
-left subtree fully before the right, so a fixed generator seed fixes the
-tree exactly.  Leaves draw their mean from the conjugate normal posterior.
+option) and sifting the node's presorted index into children.  Nodes wait
+on an explicit stack, left subtree fully before the right, so a fixed
+generator seed fixes the tree exactly.  Leaves draw their mean from the
+conjugate normal posterior.
 
-Nodes are stored struct-of-arrays in pre-order; ``var < 0`` marks a leaf.
+Nodes are stored struct-of-arrays in pre-order: a split's left child is the
+next node and ``right`` names its right child.  ``value`` is the cut of a
+split and the mean of a leaf; ``var`` and ``right`` are -1 on a leaf.
 """
 
 from __future__ import annotations
@@ -29,16 +32,14 @@ _LEAF = -1
 class Tree:
     """One regression tree in pre-order struct-of-arrays form."""
 
-    def __init__(self, var, cut, left, right, leaf_value):
+    def __init__(self, var, value, right):
         self.var = np.asarray(var, dtype=np.int32)
-        self.cut = np.asarray(cut, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int32)
+        self.value = np.asarray(value, dtype=np.float64)
         self.right = np.asarray(right, dtype=np.int32)
-        self.leaf_value = np.asarray(leaf_value, dtype=np.float64)
 
     @classmethod
     def single_leaf(cls, value: float = 0.0) -> "Tree":
-        return cls([_LEAF], [0.0], [_LEAF], [_LEAF], [float(value)])
+        return cls([_LEAF], [float(value)], [_LEAF])
 
     @property
     def n_nodes(self) -> int:
@@ -50,11 +51,7 @@ class Tree:
 
     def leaf_values(self) -> np.ndarray:
         """Leaf means in pre-order."""
-        return self.leaf_value[self.var == _LEAF]
-
-    def split_counts(self, p: int) -> np.ndarray:
-        """Number of internal nodes splitting on each of ``p`` variables."""
-        return np.bincount(self.var[self.var >= 0], minlength=p)
+        return self.value[self.var == _LEAF]
 
     def predict(self, X: PredictorMatrix) -> np.ndarray:
         """Evaluate the tree's step function on every row of ``X``.
@@ -66,27 +63,23 @@ class Tree:
         while stack:
             node, rows = stack.pop()
             while self.var[node] >= 0:
-                go_left = X.columns[self.var[node], rows] <= self.cut[node]
-                left_rows = rows[go_left]
-                # follow the larger side iteratively, push the other
+                go_left = X.columns[self.var[node], rows] <= self.value[node]
+                # follow the left side iteratively, push the other
                 stack.append((int(self.right[node]), rows[~go_left]))
-                node, rows = int(self.left[node]), left_rows
+                node, rows = node + 1, rows[go_left]
             if rows.size:
-                out[rows] = self.leaf_value[node]
+                out[rows] = self.value[node]
         return out
 
     def to_records(self) -> list[list]:
         """Pre-order node records: ``["split", var, cut]`` / ``["leaf", value]``."""
-        recs: list[list] = []
-        for i in range(self.n_nodes):
-            if self.var[i] == _LEAF:
-                recs.append(["leaf", float(self.leaf_value[i])])
-            else:
-                recs.append(["split", int(self.var[i]), float(self.cut[i])])
-        return recs
+        return [
+            ["leaf", x] if v == _LEAF else ["split", v, x]
+            for v, x in zip(self.var.tolist(), self.value.tolist())
+        ]
 
     @classmethod
-    def from_records(cls, records: list, n_features: int | None = None) -> "Tree":
+    def from_records(cls, records: list, n_features: int) -> "Tree":
         """Rebuild a tree from its pre-order records, validating as it goes.
 
         Node ``i`` is record ``i``, and a split's left child is the next
@@ -95,7 +88,7 @@ class Tree:
         """
         if not isinstance(records, list) or not records:
             raise ModelFormatError("tree record list is empty or not a list")
-        var, cut, left, right, leaf_value = [], [], [], [], []
+        var, value, right = [], [], []
         open_splits: list[int] = []
         for pos, rec in enumerate(records):
             if pos > 0 and var[-1] == _LEAF:
@@ -112,10 +105,7 @@ class Tree:
                 if len(rec) != 2:
                     raise ModelFormatError(f"leaf record needs 1 value: {rec!r}")
                 var.append(_LEAF)
-                cut.append(0.0)
-                left.append(_LEAF)
-                right.append(_LEAF)
-                leaf_value.append(_finite(rec[1], "leaf value", pos))
+                value.append(_finite(rec[1], "leaf value", pos))
             elif tag == "split":
                 if len(rec) != 3:
                     raise ModelFormatError(f"split record needs var and cut: {rec!r}")
@@ -124,19 +114,17 @@ class Tree:
                     raise ModelFormatError(
                         f"split variable {v!r} at record {pos} is not an integer"
                     )
-                if v < 0 or (n_features is not None and v >= n_features):
+                if not 0 <= v < n_features:
                     raise ModelFormatError(f"split variable {v} out of range")
                 var.append(v)
-                cut.append(_finite(rec[2], "cut value", pos))
-                left.append(pos + 1)
-                right.append(0)
-                leaf_value.append(0.0)
+                value.append(_finite(rec[2], "cut value", pos))
                 open_splits.append(pos)
             else:
                 raise ModelFormatError(f"unknown tree record tag {tag!r}")
+            right.append(_LEAF)
         if open_splits:
             raise ModelFormatError("tree records truncated mid-subtree")
-        return cls(var, cut, left, right, leaf_value)
+        return cls(var, value, right)
 
 
 def _finite(value, field: str, pos: int) -> float:
@@ -215,69 +203,58 @@ def grow_tree(
         raise DataError(f"leaf prior variance must be non-negative, got {tau}")
     workspace = np.zeros(X.n, dtype=bool)
     var_l: list[int] = []
-    cut_l: list[float] = []
-    left_l: list[int] = []
+    value_l: list[float] = []
     right_l: list[int] = []
-    mu_l: list[float] = []
-
-    def add_leaf(node_index: np.ndarray, total: float, m: int) -> int:
-        mu = sample_leaf_value(total, m, sigma2, tau, rng)
+    # (presorted node index, depth, split waiting for this node as its right
+    # child or -1); the left child is pushed last so it is grown first
+    stack = [(index, 0, _LEAF)]
+    while stack:
+        node_index, depth, parent = stack.pop()
         node = len(var_l)
-        var_l.append(_LEAF)
-        cut_l.append(0.0)
-        left_l.append(_LEAF)
-        right_l.append(_LEAF)
-        mu_l.append(mu)
-        fitted_out[node_index[0]] = mu
-        return node
-
-    def recurse(node_index: np.ndarray, depth: int) -> int:
+        if parent != _LEAF:
+            right_l[parent] = node
         m = node_index.shape[1]
         total = float(residuals[node_index[0]].sum())
-        if depth >= params.max_depth - 1 or m < max(2, 2 * params.min_node_size):
-            return add_leaf(node_index, total, m)
-        if var_weights is not None:
-            chosen = np.sort(
-                rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
-            )
-        else:
+        choice = None
+        if depth < params.max_depth - 1 and m >= max(2, 2 * params.min_node_size):
             chosen = None
-        grid = build_cutpoint_grid(
-            X,
-            node_index,
-            params.n_cutpoints,
-            params.min_node_size,
-            variables=chosen,
-            tie_free=tie_free,
-        )
-        if len(grid) == 0:
-            return add_leaf(node_index, total, m)
-        scores = scan_candidates(
-            X,
-            node_index,
-            residuals,
-            grid,
-            sigma2,
-            tau,
-            depth,
-            params.alpha,
-            params.beta,
-            total=total,
-        )
-        choice = sample_cutpoint(scores, rng)
+            if var_weights is not None:
+                chosen = np.sort(
+                    rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
+                )
+            grid = build_cutpoint_grid(
+                X,
+                node_index,
+                params.n_cutpoints,
+                params.min_node_size,
+                variables=chosen,
+                tie_free=tie_free,
+            )
+            if len(grid):
+                scores = scan_candidates(
+                    X,
+                    node_index,
+                    residuals,
+                    grid,
+                    sigma2,
+                    tau,
+                    depth,
+                    params.alpha,
+                    params.beta,
+                    total=total,
+                )
+                choice = sample_cutpoint(scores, rng)
+        right_l.append(_LEAF)
         if choice is None:
-            return add_leaf(node_index, total, m)
-        node = len(var_l)
+            mu = sample_leaf_value(total, m, sigma2, tau, rng)
+            var_l.append(_LEAF)
+            value_l.append(mu)
+            fitted_out[node_index[0]] = mu
+            continue
         var_l.append(choice.var)
-        cut_l.append(choice.value)
-        left_l.append(0)
-        right_l.append(0)
-        mu_l.append(0.0)
+        value_l.append(choice.value)
         split_count_out[choice.var] += 1
         left_index, right_index = sift(X, node_index, choice.var, choice.value, workspace)
-        left_l[node] = recurse(left_index, depth + 1)
-        right_l[node] = recurse(right_index, depth + 1)
-        return node
-
-    recurse(index, 0)
-    return Tree(var_l, cut_l, left_l, right_l, mu_l)
+        stack.append((right_index, depth + 1, node))
+        stack.append((left_index, depth + 1, _LEAF))
+    return Tree(var_l, value_l, right_l)

@@ -65,7 +65,7 @@ def tree_depth(tree) -> int:
         node, d = stack.pop()
         out = max(out, d)
         if tree.var[node] >= 0:
-            stack.append((int(tree.left[node]), d + 1))
+            stack.append((node + 1, d + 1))
             stack.append((int(tree.right[node]), d + 1))
     return out
 
@@ -74,12 +74,8 @@ def walk_tree(tree, x) -> float:
     """Evaluate one tree on one row by an explicit python descent."""
     node = 0
     while tree.var[node] >= 0:
-        node = (
-            int(tree.left[node])
-            if x[tree.var[node]] <= tree.cut[node]
-            else int(tree.right[node])
-        )
-    return float(tree.leaf_value[node])
+        node = node + 1 if x[tree.var[node]] <= tree.value[node] else int(tree.right[node])
+    return float(tree.value[node])
 
 
 def theoretical_split_criterion(

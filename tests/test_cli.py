@@ -203,6 +203,21 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_model_file_with_mistyped_params(self, tmp_path, train_csv, capsys):
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--train", train_csv, "--target", "y", "--trees", "2",
+                     "--sweeps", "2", "--burnin", "1", "--out", str(model_path)]) == 0
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        payload["params"]["n_trees"] = 2.5
+        model_path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["predict", "--model", str(model_path), "--data", train_csv,
+             "--out", str(tmp_path / "p.csv")]
+        )
+        assert code == 2
+        assert "params.n_trees" in capsys.readouterr().err
+
     def test_invalid_dgp_width(self, capsys):
         code = main(
             ["bench", "--dgp", "single_index", "--n", "50", "--p", "3",

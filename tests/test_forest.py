@@ -100,35 +100,28 @@ class TestVarianceDraws:
 
 
 class TestVariableWeights:
-    def test_identity_swap_keeps_counts(self):
-        counts = np.array([4.0, 2.0, 1.0])
-        same = np.array([1, 0, 0])
-        new_counts, weights = update_variable_weights(counts, same, same)
-        assert new_counts.tolist() == [4.0, 2.0, 1.0]
-        np.testing.assert_allclose(weights, counts / counts.sum())
-
-    def test_swap_arithmetic(self):
-        counts = np.array([3.0, 3.0])
-        new_counts, _ = update_variable_weights(
-            counts, np.array([2, 0]), np.array([0, 1])
-        )
-        assert new_counts.tolist() == [1.0, 4.0]
-
-    def test_floor_violation_rejected(self):
-        with pytest.raises(DataError):
-            update_variable_weights(
-                np.array([1.0, 1.0]), np.array([1, 0]), np.array([0, 0])
-            )
+    def test_normalised_counts_without_a_generator(self):
+        # one plus the per-variable totals over trees: [4, 2, 1]
+        split_counts = np.array([[2, 1, 0], [1, 0, 0]])
+        weights = update_variable_weights(split_counts)
+        np.testing.assert_allclose(weights, np.array([4.0, 2.0, 1.0]) / 7.0)
 
     def test_dirichlet_mean_matches_counts(self):
         counts = np.array([6.0, 3.0, 1.0])
-        zero = np.zeros(3, dtype=np.int64)
+        split_counts = np.array([[3, 2, 0], [2, 0, 0]])  # one plus totals = counts
         rng = np.random.default_rng(909)
         draws = np.array(
-            [update_variable_weights(counts, zero, zero, rng)[1] for _ in range(20_000)]
+            [update_variable_weights(split_counts, rng) for _ in range(20_000)]
         )
         np.testing.assert_allclose(draws.mean(axis=0), counts / 10.0, atol=0.01)
         np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_draw_uses_the_dirichlet_over_one_plus_totals(self):
+        split_counts = np.array([[0, 4, 1], [2, 0, 1]])
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        draw = update_variable_weights(split_counts, rng)
+        np.testing.assert_array_equal(draw, twin.dirichlet([3.0, 5.0, 3.0]))
 
 
 class TestSamplerSetup:
@@ -137,12 +130,13 @@ class TestSamplerSetup:
         s = ForestSampler(X, y, Hyperparams(n_trees=5), seed=1)
         var_y = float(np.var(y - y.mean(), ddof=1))
         assert s.y_offset == pytest.approx(y.mean())
-        assert np.all(s.state.fitted == 0.0)
-        np.testing.assert_allclose(s.state.residual, y - y.mean())
-        assert s.state.sigma2 == pytest.approx(var_y)
-        assert s.state.tau == pytest.approx(var_y / 5)
-        assert s.state.weight_counts.tolist() == [1.0, 1.0, 1.0]
-        np.testing.assert_allclose(s.state.weights, 1 / 3)
+        assert np.all(s.fitted == 0.0)
+        np.testing.assert_allclose(s.residual, y - y.mean())
+        assert s.sigma2 == pytest.approx(var_y)
+        assert s.tau == pytest.approx(var_y / 5)
+        assert s.split_counts.shape == (5, 3) and not s.split_counts.any()
+        np.testing.assert_allclose(s.weights, 1 / 3)
+        assert s.draws == []
         assert all(t.n_nodes == 1 for t in s.trees)
 
     def test_default_scale_resolution(self):
@@ -176,7 +170,7 @@ class TestSamplerSetup:
         X, _ = _toy(n=30)
         s = ForestSampler(X, np.full(30, 4.0), Hyperparams(n_sweeps=2, burnin=0))
         s.run()
-        assert np.isfinite(s.state.sigma2)
+        assert np.isfinite(s.sigma2)
 
 
 class TestSweepLoop:
@@ -186,38 +180,38 @@ class TestSweepLoop:
         for _ in range(2):
             for h in range(4):
                 s.update_tree(h)
-                expect = s.y_centred - s.state.fitted.sum(axis=0)
-                np.testing.assert_allclose(s.state.residual, expect, atol=1e-10)
+                expect = s.y_centred - s.fitted.sum(axis=0)
+                np.testing.assert_allclose(s.residual, expect, atol=1e-10)
         # per-tree caches agree with re-evaluating the stored trees
         for h in range(4):
-            np.testing.assert_array_equal(s.state.fitted[h], s.trees[h].predict(s.X))
+            np.testing.assert_array_equal(s.fitted[h], s.trees[h].predict(s.X))
 
     def test_sigma2_redrawn_after_every_tree(self):
         X, y = _toy(n=80, seed=5)
         s = ForestSampler(X, y, Hyperparams(n_trees=4), seed=3)
-        seen = {s.state.sigma2}
-        tau0 = s.state.tau
+        seen = {s.sigma2}
+        tau0 = s.tau
         for h in range(4):
             s.update_tree(h)
-            assert s.state.sigma2 not in seen
-            seen.add(s.state.sigma2)
-            assert s.state.tau == tau0  # untouched until the sweep ends
+            assert s.sigma2 not in seen
+            seen.add(s.sigma2)
+            assert s.tau == tau0  # untouched until the sweep ends
 
     def test_tau_redrawn_once_per_sweep(self):
         X, y = _toy(n=80, seed=6)
         s = ForestSampler(X, y, Hyperparams(n_trees=3, n_sweeps=2, burnin=0), seed=4)
-        tau0 = s.state.tau
+        tau0 = s.tau
         draw = s.run_sweep()
         assert draw.tau != tau0
-        assert draw.tau == s.state.tau
+        assert draw.tau == s.tau
 
     def test_fixed_tau_mode(self):
         X, y = _toy(n=80, seed=6)
         params = Hyperparams(n_trees=3, n_sweeps=2, burnin=0, sample_tau=False)
         s = ForestSampler(X, y, params, seed=4)
-        tau0 = s.state.tau
+        tau0 = s.tau
         s.run()
-        assert s.state.tau == tau0
+        assert s.tau == tau0
 
     def test_run_returns_all_sweeps_in_order(self):
         X, y = _toy(n=50, seed=8)
@@ -260,20 +254,24 @@ class TestSweepLoop:
         for tree in s.trees:
             for node in range(tree.n_nodes):
                 if tree.var[node] >= 0:
-                    assert tree.cut[node] in s.X.columns[tree.var[node]]
+                    assert tree.value[node] in s.X.columns[tree.var[node]]
 
     def test_mtry_subsampling_path(self):
         X, y = _toy(n=100, p=6, seed=13)
         params = Hyperparams(n_trees=3, n_sweeps=3, burnin=0, mtry=2)
         s = ForestSampler(X, y, params, seed=6)
         s.run()
-        assert s.state.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        # counts floor: ones plus accumulated splits
-        assert np.all(s.state.weight_counts >= 1.0)
+        assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(s.weights > 0.0)
 
     def test_weight_counts_track_current_forest(self):
+        # without subsampling the weights are the normalised counts: one plus
+        # each variable's splits in the current trees
         X, y = _toy(n=100, seed=14)
         s = ForestSampler(X, y, Hyperparams(n_trees=4, n_sweeps=2, burnin=0), seed=7)
         s.run()
-        totals = np.ones(3) + s.state.split_counts.sum(axis=0)
-        np.testing.assert_allclose(s.state.weight_counts, totals)
+        for h, tree in enumerate(s.trees):
+            splits = np.bincount(tree.var[tree.var >= 0], minlength=3)
+            np.testing.assert_array_equal(s.split_counts[h], splits)
+        totals = np.ones(3) + s.split_counts.sum(axis=0)
+        np.testing.assert_allclose(s.weights, totals / totals.sum())

@@ -8,7 +8,7 @@ import pytest
 from conftest import walk_tree
 from xbart.data import PredictorMatrix
 from xbart.errors import DataError, ModelFormatError
-from xbart.forest import Hyperparams, SweepDraw
+from xbart.forest import ForestSampler, Hyperparams, SweepDraw
 from xbart.model import FittedModel, fit, load_model
 from xbart.tree import Tree
 
@@ -97,10 +97,16 @@ class TestPrediction:
 class TestFit:
     def test_retention_schedule(self):
         X, y = _toy()
-        model = fit(X, y, Hyperparams(n_trees=2, n_sweeps=6, burnin=4), seed=1)
-        assert len(model.history) == 6
-        assert len(model.draws) == 2
-        assert model.draws[0] is model.history[4]
+        params = Hyperparams(n_trees=2, n_sweeps=6, burnin=4)
+        model = fit(X, y, params, seed=1)
+        every = ForestSampler(X, y, params, seed=1).run()
+        assert len(every) == 6
+        assert [d.sweep for d in model.draws] == [5, 6]
+        for kept, same in zip(model.draws, every[4:]):
+            assert (kept.sigma2, kept.tau) == (same.sigma2, same.tau)
+            assert [t.to_records() for t in kept.trees] == [
+                t.to_records() for t in same.trees
+            ]
 
     def test_feature_names_thread_through(self):
         X, y = _toy(p=2)
@@ -121,7 +127,9 @@ class TestFit:
         base = fit(X, y, params, seed=21)
         shifted = fit(X, y + 32.0, params, seed=21)
         assert shifted.y_offset == base.y_offset + 32.0
-        for da, db in zip(base.history, shifted.history):
+        every_base = ForestSampler(X, y, params, seed=21).run()
+        every_shifted = ForestSampler(X, y + 32.0, params, seed=21).run()
+        for da, db in zip(every_base, every_shifted, strict=True):
             assert da.sigma2 == db.sigma2 and da.tau == db.tau
             for ta, tb in zip(da.trees, db.trees):
                 assert ta.to_records() == tb.to_records()
@@ -154,7 +162,6 @@ class TestPersistence:
             loaded.predict_draws(Xnew), model.predict_draws(Xnew)
         )
         assert loaded.feature_names == ["u", "v", "w"]
-        assert loaded.history is None
         assert loaded.params == model.params
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
@@ -246,11 +253,22 @@ class TestPersistence:
             ("categorical", lambda p: p.update(categorical=[0, 0])),
             ("feature_names", lambda p: p.update(feature_names=["u", "v", "w", "x"])),
             ("n_features", lambda p: p.update(n_features=2.5)),
+            ("params.n_trees", lambda p: p["params"].update(n_trees=2.5)),
+            ("params.sample_tau", lambda p: p["params"].update(sample_tau="no")),
+            ("params.alpha", lambda p: p["params"].update(alpha=np.nan)),
+            ("n_trees is 7", lambda p: p["params"].update(n_trees=7)),
+            ("holds 0 trees", lambda p: p["draws"][1].update(trees=[])),
+            ("sweep", lambda p: p["draws"][0].update(sweep=1.9)),
+            ("sweep", lambda p: p["draws"][0].update(sweep="2")),
+            ("mtry", lambda p: p["params"].update(mtry=5)),
         ],
         ids=[
             "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau", "inf_cut",
             "nan_leaf", "string_leaf", "fractional_split_variable",
             "short_categorical", "long_feature_names", "fractional_n_features",
+            "fractional_n_trees", "string_sample_tau", "nan_alpha",
+            "n_trees_disagrees_with_draws", "draw_without_trees",
+            "fractional_sweep", "string_sweep", "mtry_exceeds_features",
         ],
     )
     def test_malformed_field_rejected_at_load(self, tmp_path, field, edit):

@@ -68,10 +68,8 @@ class TestEvaluation:
         # root: x0 <= 0.5; its left child: x1 <= 0.3
         tree = Tree(
             var=[0, 1, -1, -1, -1],
-            cut=[0.5, 0.3, 0.0, 0.0, 0.0],
-            left=[1, 2, -1, -1, -1],
+            value=[0.5, 0.3, 10.0, 20.0, 30.0],
             right=[4, 3, -1, -1, -1],
-            leaf_value=[0.0, 0.0, 10.0, 20.0, 30.0],
         )
         rows = [
             ([0.2, 0.1], 10.0),
@@ -97,12 +95,11 @@ class TestEvaluation:
     def test_split_counts(self):
         tree = Tree(
             var=[1, -1, 1, -1, -1],
-            cut=[0.5, 0.0, 0.2, 0.0, 0.0],
-            left=[1, -1, 3, -1, -1],
+            value=[0.5, 1.0, 0.2, 2.0, 3.0],
             right=[2, -1, 4, -1, -1],
-            leaf_value=[0.0, 1.0, 0.0, 2.0, 3.0],
         )
-        assert tree.split_counts(3).tolist() == [0, 2, 0]
+        assert np.bincount(tree.var[tree.var >= 0], minlength=3).tolist() == [0, 2, 0]
+        assert tree.leaf_values().tolist() == [1.0, 2.0, 3.0]
 
 
 class TestGrow:
@@ -115,7 +112,7 @@ class TestGrow:
         # node totals are accumulated in the variable-0 sorted order
         total = float(resid[presort(X)[0]].sum())
         expected = sample_leaf_value(total, 40, 1.0, 1.0, np.random.default_rng(10))
-        assert tree.leaf_value[0] == expected
+        assert tree.value[0] == expected
 
     def test_zero_tau_grows_a_zero_function(self):
         rng = np.random.default_rng(5)
@@ -150,7 +147,7 @@ class TestGrow:
         resid = X.columns[1] * 3 + rng.normal(size=150) * 0.1
         counts = np.zeros(3, dtype=np.int64)
         tree = _grow(X, resid, seed=3, sigma2=0.05, split_count_out=counts)
-        assert counts.tolist() == tree.split_counts(3).tolist()
+        assert counts.tolist() == np.bincount(tree.var[tree.var >= 0], minlength=3).tolist()
         assert counts.sum() == tree.n_nodes - tree.n_leaves
 
     def test_same_seed_same_tree(self):
@@ -159,7 +156,7 @@ class TestGrow:
         resid = rng.normal(size=80)
         a = _grow(X, resid, seed=42)
         b = _grow(X, resid, seed=42)
-        for field in ("var", "cut", "left", "right", "leaf_value"):
+        for field in ("var", "value", "right"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_step_signal_concentrates_on_the_separating_cut(self):
@@ -175,7 +172,7 @@ class TestGrow:
         rng = np.random.default_rng(1234)
         for _ in range(trials):
             tree = _grow(X, resid, sigma2=0.01, params=params, rng=rng, index=index)
-            if tree.n_nodes == 3 and tree.cut[0] == 49.0:
+            if tree.n_nodes == 3 and tree.value[0] == 49.0:
                 hits += 1
         assert hits >= 0.95 * trials
 
@@ -185,7 +182,7 @@ class TestGrow:
         tree = _grow(X, rng.normal(size=70), sigma2=0.3)
         for node in range(tree.n_nodes):
             if tree.var[node] >= 0:
-                assert tree.cut[node] in X.columns[tree.var[node]]
+                assert tree.value[node] in X.columns[tree.var[node]]
 
     def test_mtry_one_with_point_mass_weights(self):
         rng = np.random.default_rng(11)
@@ -226,7 +223,7 @@ class TestRecords:
     def test_single_leaf_round_trip(self):
         recs = Tree.single_leaf(1.25).to_records()
         assert recs == [["leaf", 1.25]]
-        assert Tree.from_records(recs).leaf_value.tolist() == [1.25]
+        assert Tree.from_records(recs, n_features=1).value.tolist() == [1.25]
 
     @pytest.mark.parametrize(
         "records",
@@ -247,10 +244,10 @@ class TestRecords:
     )
     def test_malformed_records_rejected(self, records):
         with pytest.raises(ModelFormatError):
-            Tree.from_records(records)
+            Tree.from_records(records, n_features=3)
 
     def test_variable_range_checked_against_feature_count(self):
         records = [["split", 5, 0.5], ["leaf", 1.0], ["leaf", 2.0]]
-        Tree.from_records(records)  # fine when the width is unknown
+        assert Tree.from_records(records, n_features=6).right.tolist() == [2, -1, -1]
         with pytest.raises(ModelFormatError):
             Tree.from_records(records, n_features=3)
