@@ -19,6 +19,7 @@ from .simulate import (
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = Hyperparams()
     parser = argparse.ArgumentParser(
         prog="xbart",
         description="Accelerated Bayesian additive regression trees",
@@ -32,16 +33,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--schema",
         help="sidecar file marking columns categorical|continuous (default: all continuous)",
     )
-    p_fit.add_argument("--trees", type=int, default=20)
-    p_fit.add_argument("--sweeps", type=int, default=40)
-    p_fit.add_argument("--burnin", type=int, default=15)
+    p_fit.add_argument("--trees", type=int, default=defaults.n_trees)
+    p_fit.add_argument("--sweeps", type=int, default=defaults.n_sweeps)
+    p_fit.add_argument("--burnin", type=int, default=defaults.burnin)
     p_fit.add_argument(
-        "--cutpoints", type=int, default=None, help="cutpoint budget per variable (default min(n, 100))"
+        "--cutpoints", type=int, default=defaults.n_cutpoints,
+        help="cutpoint budget per variable (default min(n, 100))",
     )
-    p_fit.add_argument("--alpha", type=float, default=0.95)
-    p_fit.add_argument("--beta", type=float, default=1.25)
+    p_fit.add_argument("--alpha", type=float, default=defaults.alpha)
+    p_fit.add_argument("--beta", type=float, default=defaults.beta)
     p_fit.add_argument(
-        "--mtry", type=int, default=None, help="variables scored per node (default: all)"
+        "--mtry", type=int, default=defaults.mtry,
+        help="variables scored per node (default: all)",
     )
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True, help="where to write the model file")
@@ -70,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep the leaf prior variance at Var(y)/trees instead of sampling it",
     )
-    p_bench.add_argument("--trees", type=int, default=20)
-    p_bench.add_argument("--sweeps", type=int, default=40)
-    p_bench.add_argument("--burnin", type=int, default=15)
+    p_bench.add_argument("--trees", type=int, default=defaults.n_trees)
+    p_bench.add_argument("--sweeps", type=int, default=defaults.n_sweeps)
+    p_bench.add_argument("--burnin", type=int, default=defaults.burnin)
     p_bench.add_argument(
         "--report", help="also write the deterministic report (no timing) to this file"
     )

@@ -89,8 +89,9 @@ class PredictorMatrix:
     def tie_free_columns(self) -> np.ndarray:
         """Boolean mask of continuous columns with no repeated values.
 
-        Such columns admit a cheaper cutpoint-grid path (strided ranks need
-        no tie snapping), which is the common case for continuous data.
+        The cutpoint grid keeps the base ranks of such columns as they are,
+        without gathering their values; this is the common case for
+        continuous data.
         """
         out = np.zeros(self.p, dtype=bool)
         for j in range(self.p):
@@ -167,43 +168,6 @@ class CutpointGrid:
         return self.var_ids.size
 
 
-def _candidate_ranks_one(
-    col: np.ndarray,
-    order: np.ndarray,
-    is_categorical: bool,
-    tie_free: bool,
-    budget: int,
-    min_node_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate (ranks, values) for a single variable at one node."""
-    m = order.size
-    lo = min_node_size - 1
-    hi = m - 1 - min_node_size
-    if hi < lo:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
-
-    if not is_categorical and m - 2 > budget:
-        stride = (m - 2) // budget
-        ranks = np.arange(budget, dtype=np.intp) * stride
-        if tie_free:
-            ranks = ranks[(ranks >= lo) & (ranks <= hi)]
-            return ranks, col[order[ranks]]
-        sorted_vals = col[order]
-        # snap each strided rank to the end of its tie run
-        ranks = np.searchsorted(sorted_vals, sorted_vals[ranks], side="right") - 1
-        ranks = np.unique(ranks)
-        ranks = ranks[(ranks >= lo) & (ranks <= hi)]
-        return ranks, sorted_vals[ranks]
-
-    # every distinct value is a candidate (small nodes and all categorical
-    # columns); runs end where the sorted value changes, and the last run
-    # (node maximum) never qualifies because its right child would be empty
-    sorted_vals = col[order]
-    ranks = np.nonzero(sorted_vals[1:] != sorted_vals[:-1])[0].astype(np.intp)
-    ranks = ranks[(ranks >= lo) & (ranks <= hi)]
-    return ranks, sorted_vals[ranks]
-
-
 def build_cutpoint_grid(
     X: PredictorMatrix,
     index: np.ndarray,
@@ -212,51 +176,72 @@ def build_cutpoint_grid(
     variables: np.ndarray | None = None,
     tie_free: np.ndarray | None = None,
 ) -> CutpointGrid:
-    """Assemble the adaptive cutpoint grid for one node.
+    """Assemble the adaptive cutpoint grid for one node of ``m`` rows.
 
-    Continuous columns with more than ``budget`` interior values are strided:
-    at most ``budget`` ranks ``0, j, 2j, ...`` with ``j = (m - 2) // budget``,
-    snapped to tie-run ends and deduplicated.  Smaller continuous columns and
-    all categorical columns contribute every distinct value.  Candidates that
-    would leave a child below ``min_node_size`` (including an empty right
-    child at the node maximum) are dropped.
+    Every scored column starts from base ranks into its node ordering.  A
+    continuous column in a node with more than ``budget`` interior values
+    (``m - 2 > budget``) is strided: ``budget`` ranks ``0, j, 2j, ...`` with
+    ``j = (m - 2) // budget``.  Every other column (all columns of a smaller
+    node, and categorical columns always) starts from ranks ``0 .. m - 2``.
+    Each base rank moves to the end of its tie run, and the distinct results
+    inside ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate
+    ranks; the node maximum never qualifies, so both children are non-empty.
+    Candidates are grouped by column in the order of ``variables``, ranks
+    ascending.
 
     Parameters
     ----------
     variables : optional int array
         Score only these columns (the per-node mtry draw).  Default: all.
     tie_free : optional bool array over all p columns
-        Precomputed `X.tie_free_columns()`; lets tie-free continuous columns
-        skip the gather of sorted values entirely.
+        Precomputed `X.tie_free_columns()`.  The columns it marks keep their
+        base ranks, so their sorted values are never gathered; ``None``
+        snaps every column.
     """
     if budget < 1:
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
     if min_node_size < 1:
         raise DataError(f"min_node_size must be >= 1, got {min_node_size}")
-    if variables is None:
-        variables = np.arange(X.p)
-    var_chunks, rank_chunks, val_chunks = [], [], []
-    for v in variables:
-        ranks, vals = _candidate_ranks_one(
-            X.columns[v],
-            index[v],
-            bool(X.categorical[v]),
-            bool(tie_free[v]) if tie_free is not None else False,
-            budget,
-            min_node_size,
-        )
-        if ranks.size:
-            var_chunks.append(np.full(ranks.size, v, dtype=np.intp))
-            rank_chunks.append(ranks)
-            val_chunks.append(vals)
-    if not var_chunks:
-        empty_i = np.empty(0, dtype=np.intp)
-        return CutpointGrid(empty_i, empty_i.copy(), np.empty(0, dtype=np.float64))
-    return CutpointGrid(
-        np.concatenate(var_chunks),
-        np.concatenate(rank_chunks),
-        np.concatenate(val_chunks),
-    )
+    variables = np.arange(X.p) if variables is None else np.asarray(variables, np.intp)
+    m = index.shape[1]
+    lo, hi = min_node_size - 1, m - 1 - min_node_size
+    # base ranks ``0, j, 2j, ...``, ``count`` of them, per group of columns
+    if m - 2 > budget:
+        strided = ~X.categorical[variables]
+        groups = [(budget, (m - 2) // budget, strided), (m - 1, 1, ~strided)]
+    else:
+        groups = [(m - 1, 1, np.ones(variables.size, dtype=bool))]
+    snap = np.ones(variables.size, dtype=bool) if tie_free is None else ~tie_free[variables]
+    # candidate keys ``position in variables * m + rank``, one chunk per kind
+    # of column and group; several chunks are merged by sorting, and the
+    # leading empty chunk types an empty grid
+    keys = [np.empty(0, dtype=np.intp)]
+    for count, j, member in groups:
+        free = np.flatnonzero(member & ~snap)
+        if free.size:
+            base = np.arange(count) * j
+            kept = base[(base >= lo) & (base <= hi)]
+            keys.append((free[:, None] * m + kept).ravel())
+        tied = np.flatnonzero(member & snap)
+        if tied.size:
+            cols = variables[tied]
+            sv = X.columns.take(index[cols] + X.n * cols[:, None])
+            run_end = np.ones(sv.shape, dtype=bool)
+            np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
+            flat = np.flatnonzero(run_end)
+            row, end = np.divmod(flat, m)
+            # base ranks at or before each run end plus ``count`` per earlier
+            # row: it rises from one run end to the next exactly when the run
+            # between them holds a base rank, which then moves to that end
+            held = np.minimum(end // j + 1, count) + row * count
+            keep = held > np.concatenate(([0], held[:-1]))
+            keep &= (end >= lo) & (end <= hi)
+            keys.append(tied[row[keep]] * m + end[keep])
+    keys = np.sort(np.concatenate(keys)) if len(keys) > 2 else keys[-1]
+    var_ids = variables[keys // m]
+    ranks = keys % m
+    values = X.columns.take(var_ids * X.n + index.take(var_ids * m + ranks))
+    return CutpointGrid(var_ids, ranks, values)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,16 @@ prediction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .data import PredictorMatrix, presort
 from .errors import ConfigError, DataError
 from .tree import Tree, grow_tree
+
+# exact types accepted for each field annotation (``| None`` aside)
+_FIELD_TYPES = {"int": (int,), "float": (int, float, np.float64), "bool": (bool,)}
 
 
 @dataclass(frozen=True)
@@ -48,10 +51,17 @@ class Hyperparams:
     b_tau: float | None = None
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.n_sweeps < 1:
-            raise ConfigError(f"n_sweeps must be >= 1, got {self.n_sweeps}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, _, optional = f.type.partition(" | ")
+            if not (value is None and optional) and (
+                type(value) not in _FIELD_TYPES[kind] or value - value != 0
+            ):
+                raise ConfigError(f"{f.name} is not a valid {f.type}: {value!r}")
+        for name in ("n_trees", "n_sweeps", "n_cutpoints", "mtry", "max_depth", "min_node_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if not 0 <= self.burnin < self.n_sweeps:
             raise ConfigError(
                 f"burnin must lie in [0, n_sweeps), got {self.burnin} of {self.n_sweeps}"
@@ -60,21 +70,10 @@ class Hyperparams:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.beta < 0.0:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if self.n_cutpoints is not None and self.n_cutpoints < 1:
-            raise ConfigError(f"n_cutpoints must be >= 1, got {self.n_cutpoints}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ConfigError(f"mtry must be >= 1, got {self.mtry}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_node_size < 1:
-            raise ConfigError(f"min_node_size must be >= 1, got {self.min_node_size}")
-        for name in ("a_sigma", "a_tau"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("b_sigma", "b_tau"):
+        for name in ("a_sigma", "a_tau", "b_sigma", "b_tau"):
             value = getattr(self, name)
             if value is not None and value <= 0.0:
-                raise ConfigError(f"{name} must be > 0 when given")
+                raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 @dataclass

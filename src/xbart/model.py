@@ -21,8 +21,6 @@ from .tree import Tree, parse_finite
 
 _FORMAT = "xbart-model"
 _VERSION = 1
-# JSON types accepted for each ``Hyperparams`` annotation (``| None`` aside)
-_PARAM_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 @dataclass
@@ -170,7 +168,7 @@ def load_model(path) -> FittedModel:
             feature_names=feature_names,
             draws=draws,
         )
-    except (ConfigError, ModelFormatError) as exc:
+    except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from None
@@ -180,17 +178,16 @@ def load_model(path) -> FittedModel:
 
 
 def _load_params(raw) -> Hyperparams:
-    """The stored ``params``, each field checked against its annotation."""
-    for field in fields(Hyperparams):
-        value = raw[field.name]
-        kind, _, optional = field.type.partition(" | ")
-        if not (value is None and optional) and (
-            type(value) not in _PARAM_TYPES[kind] or value - value != 0
-        ):
-            raise ModelFormatError(
-                f"params.{field.name} is not a valid {field.type}: {value!r}"
-            )
-    return Hyperparams(**raw)
+    """The stored ``params``; `Hyperparams` checks each field's type and range."""
+    names = {field.name for field in fields(Hyperparams)}
+    if set(raw) != names:
+        raise ModelFormatError(
+            f"params fields {sorted(set(raw) ^ names)} are missing or unknown"
+        )
+    try:
+        return Hyperparams(**raw)
+    except ConfigError as exc:
+        raise ModelFormatError(f"params.{exc}") from None
 
 
 def _load_draw(d: dict, k: int, n_trees: int, n_features: int) -> SweepDraw:

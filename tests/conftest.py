@@ -1,9 +1,15 @@
 """Shared test helpers: independent oracles the implementation never touches."""
 
 import numpy as np
+from hypothesis import settings
 from scipy import integrate
 
+from xbart.data import CutpointGrid
 from xbart.errors import DataError
+
+# every property test draws the same examples on every run
+settings.register_profile("xbart", derandomize=True, deadline=None)
+settings.load_profile("xbart")
 
 
 def quad_node_loglik(y, sigma2: float, tau: float) -> float:
@@ -55,6 +61,40 @@ def naive_candidate_scores(X_cols, node_ids, residuals, grid, sigma2, tau, score
             right_ids.size,
         )
     return out
+
+
+def reference_grid(X, index, budget, min_node_size=1, variables=None) -> CutpointGrid:
+    """The cutpoint grid built column by column from its documented rule.
+
+    Strided base ranks ``0, j, 2j, ...`` (``budget`` of them, ``j = (m - 2)
+    // budget``) for continuous columns when ``m - 2 > budget``, every rank
+    ``0 .. m - 2`` otherwise; each base rank walks forward to the end of its
+    tie run, and the distinct run ends inside ``[min_node_size - 1, m - 1 -
+    min_node_size]`` are the candidates, in column order.
+    """
+    m = index.shape[1]
+    var_ids, ranks, values = [], [], []
+    for v in range(X.p) if variables is None else variables:
+        sorted_vals = X.columns[v, index[v]]
+        if m - 2 > budget and not X.categorical[v]:
+            base = [k * ((m - 2) // budget) for k in range(budget)]
+        else:
+            base = range(m - 1)
+        ends = set()
+        for rank in base:
+            while rank + 1 < m and sorted_vals[rank + 1] == sorted_vals[rank]:
+                rank += 1
+            ends.add(rank)
+        for rank in sorted(ends):
+            if min_node_size - 1 <= rank <= m - 1 - min_node_size:
+                var_ids.append(v)
+                ranks.append(rank)
+                values.append(sorted_vals[rank])
+    return CutpointGrid(
+        np.array(var_ids, dtype=np.intp),
+        np.array(ranks, dtype=np.intp),
+        np.array(values, dtype=np.float64),
+    )
 
 
 def tree_depth(tree) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -70,6 +71,13 @@ class TestFitPredict:
         X_test = np.loadtxt(test_csv, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got, model.predict(X_test))
         assert lines[1].split(",")[0] == "1"  # 1-based row ids
+
+    def test_sampler_flags_default_to_hyperparams(self, tmp_path, train_csv):
+        model_path = tmp_path / "model.json"
+        argv = ["fit", "--train", train_csv, "--target", "y", "--out", str(model_path)]
+        assert main(argv) == 0
+        payload = json.loads(model_path.read_text(encoding="utf-8"))
+        assert payload["params"] == dataclasses.asdict(Hyperparams())
 
     def test_draw_columns(self, tmp_path, train_csv):
         model_path = tmp_path / "model.json"

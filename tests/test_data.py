@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_grid
 from xbart.data import (
     PredictorMatrix,
     build_cutpoint_grid,
@@ -44,7 +45,7 @@ class TestPresort:
             max_size=4,
         ).filter(lambda cols: len({len(c) for c in cols}) == 1)
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_reference_sort(self, cols):
         X = PredictorMatrix(np.array(cols, dtype=float))
         index = presort(X)
@@ -102,7 +103,54 @@ class TestSift:
         assert right[1].tolist() == root[1][13:].tolist()
 
 
+# one column of n rows per kind; "tied" mixes signed zeros into its ties
+COLUMN_KINDS = {
+    "tie_free": lambda rng, n: rng.permutation(n) / 4.0 - 3.0,
+    "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
+    "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+}
+
+
+def assert_same_grid(got, want):
+    for name in ("var_ids", "ranks", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 class TestCutpointGrid:
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_matches_per_column_reference(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+        n = data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = PredictorMatrix(
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
+        )
+        index = presort(X)
+        # descend to a child node through cuts the reference offers
+        for go_left in data.draw(st.lists(st.booleans(), max_size=3)):
+            cuts = reference_grid(X, index, budget=index.shape[1])
+            if not len(cuts):
+                break
+            i = data.draw(st.integers(0, len(cuts) - 1))
+            children = sift(X, index, int(cuts.var_ids[i]), float(cuts.values[i]))
+            index = children[0] if go_left else children[1]
+        m = index.shape[1]
+        budget = data.draw(st.integers(1, m + 3))
+        min_node_size = data.draw(st.integers(1, 4))
+        variables = None
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(X.p)))
+            variables = np.array(order[: data.draw(st.integers(0, X.p))], dtype=int)
+        tie_free = X.tie_free_columns() if data.draw(st.booleans()) else None
+        assert_same_grid(
+            build_cutpoint_grid(X, index, budget, min_node_size, variables, tie_free),
+            reference_grid(X, index, budget, min_node_size, variables),
+        )
+
     def test_stride_formula_large_node(self):
         # 1002 distinct values against a budget of 100: stride 10, ranks 0,10,...,990
         X = PredictorMatrix([np.arange(1002, dtype=float)])

@@ -47,11 +47,28 @@ class TestHyperparams:
             {"a_tau": -1.0},
             {"b_sigma": 0.0},
             {"b_tau": -2.0},
+            {"n_trees": 2.5},
+            {"alpha": "0.9"},
+            {"mtry": 2.5},
+            {"n_cutpoints": 2.5},
+            {"sample_tau": "no"},
+            {"beta": np.inf},
+            {"n_trees": np.int64(2)},
+            {"a_sigma": np.inf},
+            {"b_sigma": np.nan},
+            {"max_depth": True},
+            {"sample_tau": 1},
+            {"n_sweeps": None},
         ],
     )
     def test_bad_values_rejected(self, kw):
-        with pytest.raises(ConfigError):
+        (name,) = kw
+        with pytest.raises(ConfigError, match=name):
             Hyperparams(**kw)
+
+    def test_numpy_float_and_int_floats_accepted(self):
+        h = Hyperparams(alpha=np.float64(0.5), beta=2, b_tau=np.float64(1e-3))
+        assert (h.alpha, h.beta, h.b_tau) == (0.5, 2, 1e-3)
 
     def test_burnin_zero_is_allowed(self):
         X, y = _toy(n=30)

@@ -23,7 +23,7 @@ MONOTONE = {
     "affine": lambda x: 2.0 * x + 1.0,
 }
 SEEDS = st.integers(0, 2**16)
-SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=20)
 
 
 def _data(seed):

@@ -261,6 +261,9 @@ class TestPersistence:
             ("sweep", lambda p: p["draws"][0].update(sweep=1.9)),
             ("sweep", lambda p: p["draws"][0].update(sweep="2")),
             ("mtry", lambda p: p["params"].update(mtry=5)),
+            ("params.beta", lambda p: p["params"].update(beta=np.inf)),
+            (r"\['beta'\] are missing", lambda p: p["params"].pop("beta")),
+            (r"\['gamma'\] are missing or unknown", lambda p: p["params"].update(gamma=1.0)),
         ],
         ids=[
             "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau", "inf_cut",
@@ -269,6 +272,7 @@ class TestPersistence:
             "fractional_n_trees", "string_sample_tau", "nan_alpha",
             "n_trees_disagrees_with_draws", "draw_without_trees",
             "fractional_sweep", "string_sweep", "mtry_exceeds_features",
+            "inf_beta", "missing_param", "unknown_param",
         ],
     )
     def test_malformed_field_rejected_at_load(self, tmp_path, field, edit):

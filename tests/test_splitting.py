@@ -129,7 +129,7 @@ class TestPriorSplitProbability:
         beta=st.floats(min_value=0.0, max_value=3.0),
         shift=st.floats(min_value=-40.0, max_value=40.0),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_candidate_count_cancels(self, n_candidates, depth, alpha, beta, shift):
         scores = _flat_scores(n_candidates, depth, alpha, beta, shift)
         probs = scores.probabilities()
