@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     schema = read_schema(args.schema) if args.schema else None
-    dataset = read_csv_dataset(args.train, target=args.target, schema=schema)
+    X, y = read_csv_dataset(args.train, target=args.target, schema=schema)
     params = Hyperparams(
         n_trees=args.trees,
         n_sweeps=args.sweeps,
@@ -97,11 +97,11 @@ def _cmd_fit(args) -> int:
         beta=args.beta,
         mtry=args.mtry,
     )
-    model = fit(dataset.X, dataset.y, params=params, seed=args.seed)
+    model = fit(X, y, params=params, seed=args.seed)
     model.save(args.out)
     print(
         f"fitted {params.n_trees} trees over {params.n_sweeps} sweeps "
-        f"on {dataset.X.n} rows x {dataset.X.p} columns; "
+        f"on {X.n} rows x {X.p} columns; "
         f"{len(model.draws)} retained draws -> {args.out}"
     )
     return 0
@@ -109,7 +109,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    X, _ = read_csv_features(args.data, model.feature_names, model.categorical)
+    X = read_csv_features(args.data, model.feature_names, model.categorical)
     with open(args.out, "w", encoding="utf-8") as fh:
         if args.draws:
             draws = model.predict_draws(X)

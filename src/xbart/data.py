@@ -16,7 +16,7 @@ ties at the cut go left.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,18 +115,14 @@ def presort(X: PredictorMatrix) -> np.ndarray:
 
 
 def sift(
-    X: PredictorMatrix,
-    index: np.ndarray,
-    var: int,
-    cut: float,
-    workspace: np.ndarray | None = None,
+    X: PredictorMatrix, index: np.ndarray, var: int, cut: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partition a node's sorted index into left/right child indexes.
 
-    Rows with ``X[var] <= cut`` go left.  Every row of the output stays
-    sorted by its variable with original-order ties, because boolean
-    selection preserves within-row order.  ``workspace`` is an optional
-    reusable boolean scratch array over all n rows.
+    Rows with ``X[var] <= cut`` go left.  The flag of every entry of the
+    node's index is looked up once, and each child is one ``compress`` of
+    the flattened index; every row of the output stays sorted by its
+    variable with original-order ties, because selection preserves order.
 
     Raises
     ------
@@ -135,19 +131,15 @@ def sift(
         rejected upstream by grid construction; reaching this is a bug.
     """
     p, m = index.shape
-    if workspace is None:
-        workspace = np.zeros(X.n, dtype=bool)
-    left_ids = index[var][X.columns[var, index[var]] <= cut]
-    n_left = left_ids.size
+    goes_left = (X.columns[var] <= cut).take(index).ravel()
+    n_left = int(np.count_nonzero(goes_left[var * m : (var + 1) * m]))
     if n_left == 0 or n_left == m:
         raise DataError(
             f"cut {cut!r} on variable {var} does not split the node (m={m})"
         )
-    workspace[left_ids] = True
-    mask = workspace[index]
-    left = index[mask].reshape(p, n_left)
-    right = index[~mask].reshape(p, m - n_left)
-    workspace[left_ids] = False
+    flat = index.ravel()
+    left = np.compress(goes_left, flat).reshape(p, n_left)
+    right = np.compress(~goes_left, flat).reshape(p, m - n_left)
     return left, right
 
 
@@ -248,15 +240,6 @@ def build_cutpoint_grid(
 # CSV ingestion
 
 
-@dataclass
-class Dataset:
-    """A parsed training table: features, target, and column names."""
-
-    X: PredictorMatrix
-    y: np.ndarray
-    feature_names: list[str] = field(default_factory=list)
-
-
 def read_schema(path) -> dict[str, str]:
     """Parse a sidecar schema file: one ``column_name kind`` pair per line."""
     kinds: dict[str, str] = {}
@@ -321,12 +304,15 @@ def _read_table(path) -> tuple[list[str], list[list[float]]]:
     return header, cols
 
 
-def read_csv_dataset(path, target: str, schema: dict[str, str] | None = None) -> Dataset:
+def read_csv_dataset(
+    path, target: str, schema: dict[str, str] | None = None
+) -> tuple[PredictorMatrix, np.ndarray]:
     """Load a training CSV with a header row and a named target column.
 
-    All non-target columns become features, continuous unless the schema
-    marks them categorical.  Missing or non-numeric cells are rejected with
-    the offending row and column named.
+    Returns the features, named after their columns, and the target.  All
+    non-target columns become features, continuous unless the schema marks
+    them categorical.  Missing or non-numeric cells are rejected with the
+    offending row and column named.
     """
     header, cols = _read_table(path)
     if target not in header:
@@ -343,24 +329,21 @@ def read_csv_dataset(path, target: str, schema: dict[str, str] | None = None) ->
     categorical = np.array(
         [(schema or {}).get(h, CONTINUOUS) == CATEGORICAL for h in feature_names]
     )
-    X = PredictorMatrix(block, categorical=categorical, names=feature_names)
-    return Dataset(X=X, y=y, feature_names=feature_names)
+    return PredictorMatrix(block, categorical=categorical, names=feature_names), y
 
 
 def read_csv_features(
     path,
     feature_names: list[str] | None,
     categorical: np.ndarray,
-) -> tuple[PredictorMatrix, list[str]]:
+) -> PredictorMatrix:
     """Load prediction-time features, matching a fitted model's schema.
 
     When the model kept column names, those columns are selected by name (in
     training order) and extra columns such as the target are ignored.  A
     model fitted on a bare array just takes all columns in file order, which
-    must match the trained width.
-
-    Returns the features plus per-row labels (first column's text is not
-    kept; row ids are 1-based data-row numbers rendered by the CLI).
+    must match the trained width.  The features are named after the columns
+    they came from.
     """
     header, cols = _read_table(path)
     if feature_names:
@@ -378,4 +361,4 @@ def read_csv_features(
         raise DataError(
             f"{path}: {block.shape[0]} feature columns, model expects {categorical.size}"
         )
-    return PredictorMatrix(block, categorical=categorical, names=names), names
+    return PredictorMatrix(block, categorical=categorical, names=names)

@@ -195,7 +195,6 @@ class ForestSampler:
     def update_tree(self, h: int) -> None:
         """Regrow tree ``h`` against its partial residuals, then redraw sigma^2."""
         partial = self.residual + self.fitted[h]
-        self.split_counts[h] = 0
         subsample = self.grow_params.mtry < self.X.p
         self.trees[h] = grow_tree(
             self.X,
@@ -207,9 +206,10 @@ class ForestSampler:
             self.rng,
             var_weights=self.weights if subsample and self.draws else None,
             fitted_out=self.fitted[h],
-            split_count_out=self.split_counts[h],
             tie_free=self.tie_free,
         )
+        splits = self.trees[h].var
+        self.split_counts[h] = np.bincount(splits[splits >= 0], minlength=self.X.p)
         self.residual = partial - self.fitted[h]
         self.weights = update_variable_weights(
             self.split_counts, self.rng if subsample else None

@@ -142,10 +142,14 @@ def load_model(path) -> FittedModel:
             raise ModelFormatError(
                 f"params.mtry={params.mtry} exceeds n_features={n_features}"
             )
-        categorical = np.asarray(payload["categorical"], dtype=bool)
-        if categorical.shape != (n_features,):
+        categorical = payload["categorical"]
+        if (
+            not isinstance(categorical, list)
+            or len(categorical) != n_features
+            or not all(type(flag) is int and flag in (0, 1) for flag in categorical)
+        ):
             raise ModelFormatError(
-                f"categorical has shape {categorical.shape}, expected ({n_features},)"
+                f"categorical is not a list of {n_features} flags 0 or 1: {categorical!r}"
             )
         feature_names = payload.get("feature_names")
         if feature_names is not None and (
@@ -164,7 +168,7 @@ def load_model(path) -> FittedModel:
             params=params,
             y_offset=parse_finite(payload["y_offset"], "y_offset"),
             n_features=n_features,
-            categorical=categorical,
+            categorical=np.array(categorical, dtype=bool),
             feature_names=feature_names,
             draws=draws,
         )

@@ -172,7 +172,6 @@ def grow_tree(
     var_weights: np.ndarray | None = None,
     *,
     fitted_out: np.ndarray,
-    split_count_out: np.ndarray,
     tie_free: np.ndarray,
 ) -> Tree:
     """Grow one tree from the root over the rows listed in ``index``.
@@ -190,8 +189,6 @@ def grow_tree(
     fitted_out : length-n array
         Filled in place with the grown tree's fitted value for every row of
         the node (cheaper than re-evaluating the tree afterwards).
-    split_count_out : length-p int array
-        Incremented in place with this tree's split counts per variable.
     tie_free : bool array over all p columns
         ``X.tie_free_columns()``, passed on to the cutpoint grid.
 
@@ -201,7 +198,6 @@ def grow_tree(
         raise DataError(f"noise variance must be positive, got {sigma2}")
     if tau < 0.0:
         raise DataError(f"leaf prior variance must be non-negative, got {tau}")
-    workspace = np.zeros(X.n, dtype=bool)
     var_l: list[int] = []
     value_l: list[float] = []
     right_l: list[int] = []
@@ -253,8 +249,7 @@ def grow_tree(
             continue
         var_l.append(choice.var)
         value_l.append(choice.value)
-        split_count_out[choice.var] += 1
-        left_index, right_index = sift(X, node_index, choice.var, choice.value, workspace)
+        left_index, right_index = sift(X, node_index, choice.var, choice.value)
         stack.append((right_index, depth + 1, node))
         stack.append((left_index, depth + 1, _LEAF))
     return Tree(var_l, value_l, right_l)

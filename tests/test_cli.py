@@ -65,9 +65,9 @@ class TestFitPredict:
         assert lines[0] == "row,yhat"
         got = np.array([float(line.split(",")[1]) for line in lines[1:]])
 
-        ds = read_csv_dataset(train_csv, target="y")
+        X, y = read_csv_dataset(train_csv, target="y")
         params = Hyperparams(n_trees=3, n_sweeps=4, burnin=1)
-        model = fit(ds.X, ds.y, params=params, seed=9)
+        model = fit(X, y, params=params, seed=9)
         X_test = np.loadtxt(test_csv, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(got, model.predict(X_test))
         assert lines[1].split(",")[0] == "1"  # 1-based row ids

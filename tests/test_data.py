@@ -53,6 +53,14 @@ class TestPresort:
             assert index[v].tolist() == reference_order(cols[v])
 
 
+# one column of n rows per kind; "tied" mixes signed zeros into its ties
+COLUMN_KINDS = {
+    "tie_free": lambda rng, n: rng.permutation(n) / 4.0 - 3.0,
+    "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
+    "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+}
+
+
 class TestSift:
     def test_three_row_example(self):
         X = PredictorMatrix([[1.0, 2.0, 3.0]])
@@ -67,31 +75,33 @@ class TestSift:
         with pytest.raises(DataError):
             sift(X, presort(X), var=0, cut=0.0)
 
-    def test_random_node_matches_resort_oracle(self):
-        rng = np.random.default_rng(20240811)
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_random_node_matches_resort_oracle(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
+        n = data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         X = PredictorMatrix(
-            np.round(rng.normal(size=(4, 80)), 1)  # rounding forces ties
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
         )
-        root = presort(X)
-        keep = np.zeros(80, dtype=bool)
-        keep[rng.choice(80, size=50, replace=False)] = True
-        node = root[keep[root]].reshape(4, 50)
         cols = X.columns
-        for var in range(4):
-            values = cols[var, node[var]]
-            cut = float(np.median(values))
-            if values.min() == cut or values.max() <= cut:
-                continue
-            left, right = sift(X, node, var, cut)
-            left_ids = set(left[0].tolist())
-            right_ids = set(right[0].tolist())
-            assert left_ids | right_ids == set(node[0].tolist())
-            assert left_ids.isdisjoint(right_ids)
-            assert all(cols[var, i] <= cut for i in left_ids)
-            assert all(cols[var, i] > cut for i in right_ids)
-            for v in range(4):
+        index = presort(X)
+        # sift up to four times, each node reached by the sifts before it
+        for go_left in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
+            var = data.draw(st.integers(0, X.p - 1))
+            values = np.unique(cols[var, index[var]])
+            if values.size < 2:
+                break
+            # any tie-run value below the node maximum splits the node
+            cut = data.draw(st.sampled_from(values[:-1].tolist()))
+            left, right = sift(X, index, var, cut)
+            left_ids = [i for i in index[0].tolist() if cols[var, i] <= cut]
+            right_ids = [i for i in index[0].tolist() if cols[var, i] > cut]
+            for v in range(X.p):
                 assert left[v].tolist() == reference_order(cols[v], left_ids)
                 assert right[v].tolist() == reference_order(cols[v], right_ids)
+            index = left if go_left else right
 
     def test_split_variable_rows_are_prefix_suffix(self):
         rng = np.random.default_rng(5)
@@ -101,14 +111,6 @@ class TestSift:
         left, right = sift(X, root, 1, cut)
         assert left[1].tolist() == root[1][:13].tolist()
         assert right[1].tolist() == root[1][13:].tolist()
-
-
-# one column of n rows per kind; "tied" mixes signed zeros into its ties
-COLUMN_KINDS = {
-    "tie_free": lambda rng, n: rng.permutation(n) / 4.0 - 3.0,
-    "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
-    "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
-}
 
 
 def assert_same_grid(got, want):
@@ -277,16 +279,16 @@ class TestCsvIngestion:
 
     def test_round_trip(self, tmp_path):
         f = self._write(tmp_path / "d.csv", "a,b,y\n1,4.5,0.1\n2,5.5,0.2\n")
-        ds = read_csv_dataset(f, target="y")
-        assert ds.feature_names == ["a", "b"]
-        assert ds.X.columns[0].tolist() == [1.0, 2.0]
-        assert ds.y.tolist() == [0.1, 0.2]
+        X, y = read_csv_dataset(f, target="y")
+        assert X.names == ["a", "b"]
+        assert X.columns[0].tolist() == [1.0, 2.0]
+        assert y.tolist() == [0.1, 0.2]
 
     def test_schema_marks_categorical(self, tmp_path):
         data = self._write(tmp_path / "d.csv", "a,b,y\n1,4,0\n2,5,1\n")
         schema = self._write(tmp_path / "s.txt", "a categorical\n# comment\n")
-        ds = read_csv_dataset(data, target="y", schema=read_schema(schema))
-        assert ds.X.categorical.tolist() == [True, False]
+        X, _ = read_csv_dataset(data, target="y", schema=read_schema(schema))
+        assert X.categorical.tolist() == [True, False]
 
     def test_missing_value_names_row_and_column(self, tmp_path):
         f = self._write(tmp_path / "d.csv", "a,y\n1,0\n,1\n")
@@ -331,10 +333,8 @@ class TestCsvIngestion:
 
     def test_predict_features_select_by_name(self, tmp_path):
         f = self._write(tmp_path / "d.csv", "extra,b,a\n9,4,1\n9,5,2\n")
-        X, names = read_csv_features(
-            f, ["a", "b"], categorical=np.array([False, False])
-        )
-        assert names == ["a", "b"]
+        X = read_csv_features(f, ["a", "b"], categorical=np.array([False, False]))
+        assert X.names == ["a", "b"]
         assert X.columns[0].tolist() == [1.0, 2.0]  # training order, not file order
 
     def test_predict_features_missing_column(self, tmp_path):

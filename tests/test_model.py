@@ -251,6 +251,10 @@ class TestPersistence:
             ("leaf value", _first_tree([["leaf", "1.0"]])),
             ("split variable", _first_tree([["split", 1.9, 0.0], ["leaf", 0.0], ["leaf", 0.0]])),
             ("categorical", lambda p: p.update(categorical=[0, 0])),
+            ("categorical", lambda p: p.update(categorical=["0", "1", "0"])),
+            ("categorical", lambda p: p.update(categorical=[0.5, 0, 0])),
+            ("categorical", lambda p: p.update(categorical=[None, 1, 0])),
+            ("categorical", lambda p: p.update(categorical=[0, 2, 0])),
             ("feature_names", lambda p: p.update(feature_names=["u", "v", "w", "x"])),
             ("n_features", lambda p: p.update(n_features=2.5)),
             ("params.n_trees", lambda p: p["params"].update(n_trees=2.5)),
@@ -268,7 +272,8 @@ class TestPersistence:
         ids=[
             "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau", "inf_cut",
             "nan_leaf", "string_leaf", "fractional_split_variable",
-            "short_categorical", "long_feature_names", "fractional_n_features",
+            "short_categorical", "string_categorical", "fractional_categorical",
+            "null_categorical", "two_categorical", "long_feature_names", "fractional_n_features",
             "fractional_n_trees", "string_sample_tau", "nan_alpha",
             "n_trees_disagrees_with_draws", "draw_without_trees",
             "fractional_sweep", "string_sweep", "mtry_exceeds_features",

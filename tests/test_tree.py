@@ -17,7 +17,6 @@ def _params(**kw):
 
 def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=None, **kw):
     kw.setdefault("fitted_out", np.empty(X.n))
-    kw.setdefault("split_count_out", np.zeros(X.p, dtype=np.int64))
     kw.setdefault("tie_free", X.tie_free_columns())
     return grow_tree(
         X, presort(X) if index is None else index, np.asarray(resid, dtype=float),
@@ -140,15 +139,6 @@ class TestGrow:
         fitted = np.full(90, np.nan)
         tree = _grow(X, resid, seed=1, sigma2=0.5, fitted_out=fitted)
         np.testing.assert_array_equal(fitted, tree.predict(X))
-
-    def test_split_count_out_accumulates(self):
-        rng = np.random.default_rng(8)
-        X = PredictorMatrix(rng.normal(size=(3, 150)))
-        resid = X.columns[1] * 3 + rng.normal(size=150) * 0.1
-        counts = np.zeros(3, dtype=np.int64)
-        tree = _grow(X, resid, seed=3, sigma2=0.05, split_count_out=counts)
-        assert counts.tolist() == np.bincount(tree.var[tree.var >= 0], minlength=3).tolist()
-        assert counts.sum() == tree.n_nodes - tree.n_leaves
 
     def test_same_seed_same_tree(self):
         rng = np.random.default_rng(9)
