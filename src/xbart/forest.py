@@ -92,7 +92,7 @@ def update_sigma2(
     """Redraw the noise variance from inverse-gamma(n + a, r'r + b)."""
     residual = np.asarray(residual, dtype=np.float64)
     shape = residual.size + a_sigma
-    rate = float(residual @ residual) + b_sigma
+    rate = float(np.square(residual).sum()) + b_sigma
     return rate / rng.gamma(shape)
 
 
@@ -106,7 +106,7 @@ def update_tau(
     """
     leaf_values = np.asarray(leaf_values, dtype=np.float64)
     shape = leaf_values.size + a_tau
-    rate = float(leaf_values @ leaf_values) + b_tau
+    rate = float(np.square(leaf_values).sum()) + b_tau
     return rate / rng.gamma(shape)
 
 

@@ -1,8 +1,14 @@
 """Tests for the sweep loop: bookkeeping, variance draws, weight updates."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import xbart
 from xbart.data import PredictorMatrix
 from xbart.errors import ConfigError, DataError
 from xbart.forest import (
@@ -13,6 +19,9 @@ from xbart.forest import (
     update_variable_weights,
 )
 from xbart.model import fit
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _toy(n=60, p=3, seed=0):
@@ -114,6 +123,27 @@ class TestVarianceDraws:
             [update_sigma2(np.zeros(500), 3.0, 1.0, rng) for _ in range(2000)]
         )
         assert draws.max() < 0.01  # rate is just b_sigma, shape is ~503
+
+    def test_draws_do_not_depend_on_blas_threads(self):
+        # a threaded BLAS dot product splits its sum at about 1e4 elements
+        script = (
+            "import numpy as np\n"
+            "from xbart.forest import update_sigma2, update_tau\n"
+            "x = np.random.default_rng(5).normal(size=100_000)\n"
+            "print(repr(update_sigma2(x, 3.0, 1.0, np.random.default_rng(1))),"
+            " repr(update_tau(x, 3.0, 1.0, np.random.default_rng(1))))\n"
+        )
+        src = str(Path(xbart.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestVariableWeights:
