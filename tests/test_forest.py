@@ -21,9 +21,6 @@ from xbart.forest import (
 from xbart.model import fit
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _toy(n=60, p=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))
@@ -137,7 +134,8 @@ class TestVarianceDraws:
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=src)
-            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
             run = subprocess.run(
                 [sys.executable, "-c", script], env=env, capture_output=True, text=True
             )
