@@ -134,10 +134,12 @@ def run_bench(
         n_test = min(spec.n, 10_000)
     seqs = np.random.SeedSequence(master_seed).spawn(reps)
     work = [(spec, params, seqs[rep], n_test, rep) for rep in range(reps)]
-    if jobs == 1:
+    # the pool starts all its workers up front, so never ask for idle ones
+    workers = min(jobs, reps)
+    if workers == 1:
         results = [_timed_rep(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_timed_rep, work))
     results.sort(key=lambda r: r.rep)
     return BenchReport(

@@ -49,9 +49,9 @@ class PredictorMatrix:
         if n < 1 or p < 1:
             raise DataError(f"need at least one row and one column, got n={n}, p={p}")
         if not np.all(np.isfinite(cols)):
-            bad_var = int(np.where(~np.isfinite(cols).all(axis=1))[0][0])
+            var, row = np.argwhere(~np.isfinite(cols))[0]
             raise DataError(
-                f"column {bad_var} contains non-finite values; "
+                f"column {var}, row {row} is {cols[var, row]}; "
                 "missing data must be handled before ingestion"
             )
         if categorical is None:
@@ -149,7 +149,10 @@ class CutpointGrid:
 
     ``var_ids[i]`` is the column index of candidate ``i``; ``ranks[i]`` its
     position in that column's node ordering (left child = sorted positions
-    ``0..ranks[i]``); ``values[i]`` the cut value at that rank.
+    ``0..ranks[i]``); ``values[i]`` the cut value at that rank.  Candidates
+    are grouped by column, ranks ascending within each column;
+    `scan_candidates` relies on this grouping to find each column's first
+    candidate without sorting.
     """
 
     var_ids: np.ndarray

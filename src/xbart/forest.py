@@ -147,7 +147,8 @@ class ForestSampler:
         if y.ndim != 1 or y.size != X.n:
             raise DataError(f"target has shape {y.shape}, expected ({X.n},)")
         if not np.all(np.isfinite(y)):
-            raise DataError("target contains non-finite values")
+            row = np.flatnonzero(~np.isfinite(y))[0]
+            raise DataError(f"target row {row} is {y[row]}")
         if X.n < 2:
             raise DataError("need at least two rows to fit")
         self.params = params if params is not None else Hyperparams()

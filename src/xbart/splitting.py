@@ -107,22 +107,53 @@ def scan_candidates(
     beta: float,
     total: float | None = None,
 ) -> CandidateScores:
-    """Score every grid candidate with one pass per scored variable.
+    """Score every grid candidate from one residual gather per node.
 
-    Left-child sufficient statistics come from cumulative sums over the
-    node's per-variable sorted residuals; right-child statistics are the
-    complement against the node totals, so the scan is O(variables * m)
-    regardless of how many candidates each variable carries.
+    The grid must list its candidates grouped by column, ranks ascending
+    within each column and below ``m - 1``, as `build_cutpoint_grid` emits
+    them: the first candidate of each scored column is where
+    ``grid.var_ids`` changes.  The node's residuals are gathered once, in
+    each scored column's sorted order, into a ``(k, m)`` array for the
+    ``k`` scored columns.  One `np.add.reduceat` over that gather sums the
+    residuals between consecutive candidates of each column, and a prefix
+    sum over those few segments per column gives every candidate's
+    left-child sum (ranks ``0..rank``); nothing beyond the gather grows
+    with ``k * m``.  Right-child statistics are the complement against the
+    node totals.
     """
     if len(grid) == 0:
         raise DataError("scan_candidates needs at least one candidate")
     m = index.shape[1]
     if total is None:
         total = float(residuals[index[0]].sum())
-    vars_used, var_pos = np.unique(grid.var_ids, return_inverse=True)
-    prefix = np.cumsum(residuals[index[vars_used]], axis=1)
-    s_left = prefix[var_pos, grid.ranks]
-    n_left = grid.ranks + 1
+    var_ids, ranks = grid.var_ids, grid.ranks
+    n_cand = ranks.size
+    new_col = np.concatenate(([True], var_ids[1:] != var_ids[:-1]))
+    starts = np.flatnonzero(new_col)
+    cols = var_ids[starts]
+    k = cols.size
+    if k == index.shape[0] and np.array_equal(cols, np.arange(k)):
+        gathered = residuals.take(index)
+    else:
+        gathered = residuals.take(index.take(cols, axis=0))
+    # position of each candidate's column among the scored ones
+    row = np.cumsum(new_col) - 1
+    # segment bounds: each column's first row, then one past every candidate
+    # rank; the segment after a column's last candidate runs to the next
+    # column and is dropped
+    col_pos = np.arange(k)
+    at_cand = np.arange(n_cand) + row + 1
+    bounds = np.empty(n_cand + k, dtype=np.intp)
+    bounds[starts + col_pos] = col_pos * m
+    bounds[at_cand] = row * m + ranks + 1
+    segments = np.add.reduceat(gathered.ravel(), bounds).take(at_cand - 1)
+    # prefix sums within each column, over a (k, most candidates) block
+    slot = np.arange(n_cand) - starts[row]
+    block = np.zeros((k, int(slot.max()) + 1))
+    block[row, slot] = segments
+    np.cumsum(block, axis=1, out=block)
+    s_left = block[row, slot]
+    n_left = ranks + 1
     log_scores = split_loglik(s_left, n_left, total, m, sigma2, tau)
     no_split = no_split_log_weight(len(grid), depth, alpha, beta) + node_marginal_loglik(
         total, m, sigma2, tau

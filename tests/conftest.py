@@ -11,6 +11,13 @@ from xbart.errors import DataError
 settings.register_profile("xbart", derandomize=True, deadline=None)
 settings.load_profile("xbart")
 
+# one column of n rows per kind; "tied" mixes signed zeros into its ties
+COLUMN_KINDS = {
+    "tie_free": lambda rng, n: rng.permutation(n) / 4.0 - 3.0,
+    "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
+    "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
+}
+
 
 def quad_node_loglik(y, sigma2: float, tau: float) -> float:
     """Numerically integrate the leaf-mean prior out of one node's likelihood.

@@ -40,6 +40,31 @@ class TestRunBench:
         parallel = _tiny_bench(seed=3, jobs=2)
         assert serial.canonical_report() == parallel.canonical_report()
 
+    def test_pool_never_outnumbers_the_reps(self, monkeypatch):
+        # the pool forks every worker it is asked for up front; a fake pool
+        # records the request and maps serially, so no process starts
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr("xbart.bench.ProcessPoolExecutor", SerialPool)
+        report = _tiny_bench(seed=3, reps=2, jobs=64)
+        assert requested == [2]
+        assert report.canonical_report() == _tiny_bench(seed=3, reps=2).canonical_report()
+        _tiny_bench(seed=3, reps=1, jobs=64)
+        assert requested == [2]  # one rep runs inline
+
     def test_n_test_override(self):
         spec = DgpSpec("max", n=80, p=3)
         report = run_bench(spec, params=_TINY, reps=1, master_seed=0, n_test=17)

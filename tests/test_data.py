@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_grid
+from conftest import COLUMN_KINDS, reference_grid
 from xbart.data import (
     PredictorMatrix,
     build_cutpoint_grid,
@@ -51,14 +51,6 @@ class TestPresort:
         index = presort(X)
         for v in range(X.p):
             assert index[v].tolist() == reference_order(cols[v])
-
-
-# one column of n rows per kind; "tied" mixes signed zeros into its ties
-COLUMN_KINDS = {
-    "tie_free": lambda rng, n: rng.permutation(n) / 4.0 - 3.0,
-    "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
-    "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
-}
 
 
 class TestSift:
@@ -251,10 +243,11 @@ class TestPredictorMatrix:
         assert X.columns[1].tolist() == [10.0, 20.0, 30.0]
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="column 0, row 1 is nan"):
             PredictorMatrix([[1.0, np.nan]])
-        with pytest.raises(DataError):
-            PredictorMatrix([[np.inf, 0.0]])
+        # the first column at fault, then its first row
+        with pytest.raises(DataError, match="column 0, row 2 is -inf"):
+            PredictorMatrix([[0.0, 1.0, -np.inf], [np.inf, 2.0, 3.0]])
 
     def test_flag_shape_checked(self):
         with pytest.raises(DataError):

@@ -206,7 +206,7 @@ class TestSamplerSetup:
         X, y = _toy()
         with pytest.raises(DataError):
             ForestSampler(X, y[:-1])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="target row 3 is nan"):
             ForestSampler(X, np.where(np.arange(60) == 3, np.nan, y))
         with pytest.raises(DataError):
             ForestSampler(X[:1], y[:1])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
+    COLUMN_KINDS,
     empirical_split_criterion,
     naive_candidate_scores,
     quad_node_loglik,
@@ -168,26 +169,41 @@ class TestScan:
         )
         assert scores.no_split_log_score == pytest.approx(expect, rel=1e-13)
 
-    def test_matches_naive_filtering_on_mixed_node(self):
-        rng = np.random.default_rng(314)
-        cols = np.vstack(
-            [
-                rng.normal(size=30),
-                np.round(rng.normal(size=30), 1),
-                rng.integers(0, 4, size=30).astype(float),
-            ]
-        )
-        X = PredictorMatrix(cols, categorical=[False, False, True])
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_naive_filtering_on_mixed_node(self, data):
+        # small nodes and large budgets give a candidate at most ranks, large
+        # nodes and small budgets strided grids with long segments between
+        kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+        m = data.draw(st.integers(3, 300))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        cols = np.vstack([COLUMN_KINDS[k](rng, m) for k in kinds])
+        X = PredictorMatrix(cols, categorical=[k == "categorical" for k in kinds])
         index = presort(X)
-        resid = rng.normal(size=30)
-        grid = build_cutpoint_grid(X, index, budget=8)
+        order = data.draw(st.sampled_from(["all", "subset", "permutation"]))
+        variables = None
+        if order == "subset":
+            chosen = data.draw(st.sets(st.integers(0, X.p - 1), min_size=1))
+            variables = np.array(sorted(chosen))
+        elif order == "permutation":
+            variables = np.array(data.draw(st.permutations(range(X.p))))
+        grid = build_cutpoint_grid(
+            X,
+            index,
+            budget=data.draw(st.integers(1, 50)),
+            min_node_size=data.draw(st.integers(1, 3)),
+            variables=variables,
+        )
+        if not len(grid):
+            return
+        resid = rng.normal(size=m) * 10.0 ** data.draw(st.integers(-3, 3))
         scores = scan_candidates(
             X, index, resid, grid, sigma2=0.9, tau=0.4, depth=1,
             alpha=0.95, beta=1.25,
         )
         expect = naive_candidate_scores(
             cols,
-            np.arange(30),
+            np.arange(m),
             resid,
             grid,
             0.9,
