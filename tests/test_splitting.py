@@ -172,8 +172,8 @@ class TestScan:
     @given(data=st.data())
     @settings(max_examples=200)
     def test_matches_naive_filtering_on_mixed_node(self, data):
-        # small nodes and large budgets give a candidate at most ranks, large
-        # nodes and small budgets strided grids with long segments between
+        # budgets of 1 to 50 against nodes of up to 300 rows give grids with a
+        # candidate at most ranks as well as strided ones
         kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
         m = data.draw(st.integers(3, 300))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
