@@ -116,12 +116,12 @@ def run_bench(
     params: Hyperparams | None = None,
     reps: int = 5,
     master_seed: int = 0,
-    n_test: int | None = None,
     jobs: int = 1,
 ) -> BenchReport:
     """Run ``reps`` independent repetitions of one DGP configuration.
 
-    ``jobs > 1`` fans reps out to worker processes; per-rep seeds come from
+    Each rep scores ``min(spec.n, 10000)`` fresh test rows.  ``jobs > 1``
+    fans reps out to worker processes; per-rep seeds come from
     ``SeedSequence(master_seed).spawn(reps)``, so the scores are identical
     for any job count.
     """
@@ -130,8 +130,7 @@ def run_bench(
     if jobs < 1:
         raise ConfigError(f"need jobs >= 1, got {jobs}")
     params = params if params is not None else Hyperparams()
-    if n_test is None:
-        n_test = min(spec.n, 10_000)
+    n_test = min(spec.n, 10_000)
     seqs = np.random.SeedSequence(master_seed).spawn(reps)
     work = [(spec, params, seqs[rep], n_test, rep) for rep in range(reps)]
     # the pool starts all its workers up front, so never ask for idle ones

@@ -110,21 +110,16 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     X = read_csv_features(args.data, model.feature_names, model.categorical)
+    if args.draws:
+        block = model.predict_draws(X)
+        names = [f"draw_{d.sweep:04d}" for d in model.draws]
+    else:
+        block = model.predict(X)[:, None]
+        names = ["yhat"]
     with open(args.out, "w", encoding="utf-8") as fh:
-        if args.draws:
-            draws = model.predict_draws(X)
-            header = ",".join(
-                f"draw_{d.sweep:04d}" for d in model.draws
-            )
-            fh.write(f"row,{header}\n")
-            for i in range(X.n):
-                vals = ",".join(repr(float(v)) for v in draws[i])
-                fh.write(f"{i + 1},{vals}\n")
-        else:
-            yhat = model.predict(X)
-            fh.write("row,yhat\n")
-            for i in range(X.n):
-                fh.write(f"{i + 1},{float(yhat[i])!r}\n")
+        fh.write(",".join(["row", *names]) + "\n")
+        for i, row in enumerate(block.tolist(), start=1):
+            fh.write(",".join([str(i), *map(repr, row)]) + "\n")
     print(f"wrote {X.n} predictions -> {args.out}")
     return 0
 

@@ -32,17 +32,19 @@ class PredictorMatrix:
     Parameters
     ----------
     columns : ndarray, shape (p, n)
-        One row per variable.  Stored as contiguous float64 so per-variable
-        gathers in the sampler hot path touch contiguous memory.
+        One row per variable.  Stored as a read-only contiguous float64 copy,
+        so per-variable gathers in the sampler hot path touch contiguous
+        memory and facts derived from the values cannot go stale.
     categorical : bool array of length p, optional
         Marks columns whose distinct values are treated as unordered levels
-        for cutpoint-grid purposes.  Default: all continuous.
+        for cutpoint-grid purposes.  Stored as a read-only copy.  Default: all
+        continuous.
     names : sequence of str, optional
         Column names, kept for CSV round-trips and error messages.
     """
 
     def __init__(self, columns, categorical=None, names=None):
-        cols = np.ascontiguousarray(columns, dtype=np.float64)
+        cols = np.array(columns, dtype=np.float64, order="C")
         if cols.ndim != 2:
             raise DataError(f"expected a 2-d column block, got ndim={cols.ndim}")
         p, n = cols.shape
@@ -54,21 +56,22 @@ class PredictorMatrix:
                 f"column {var}, row {row} is {cols[var, row]}; "
                 "missing data must be handled before ingestion"
             )
-        if categorical is None:
-            categorical = np.zeros(p, dtype=bool)
-        else:
-            categorical = np.asarray(categorical, dtype=bool)
-            if categorical.shape != (p,):
-                raise DataError(
-                    f"categorical flags have shape {categorical.shape}, expected ({p},)"
-                )
+        categorical = np.array(np.zeros(p) if categorical is None else categorical, dtype=bool)
+        if categorical.shape != (p,):
+            raise DataError(
+                f"categorical flags have shape {categorical.shape}, expected ({p},)"
+            )
         if names is not None:
             names = [str(s) for s in names]
             if len(names) != p:
                 raise DataError(f"{len(names)} names for {p} columns")
+        # facts derived from the columns and flags, such as the tie-free
+        # mask, are kept for the object's lifetime, so neither may change
+        cols.flags.writeable = categorical.flags.writeable = False
         self.columns = cols
         self.categorical = categorical
         self.names = names
+        self._tie_free: np.ndarray | None = None
 
     @classmethod
     def from_rows(cls, X, categorical=None, names=None) -> "PredictorMatrix":
@@ -87,18 +90,22 @@ class PredictorMatrix:
         return self.columns.shape[0]
 
     def tie_free_columns(self) -> np.ndarray:
-        """Boolean mask of continuous columns with no repeated values.
+        """Read-only boolean mask of continuous columns with no repeated values.
 
         The cutpoint grid keeps the base ranks of such columns as they are,
         without gathering their values; this is the common case for
-        continuous data.
+        continuous data.  Computed on the first call; later calls return the
+        same array.
         """
-        out = np.zeros(self.p, dtype=bool)
-        for j in range(self.p):
-            if not self.categorical[j]:
-                col = np.sort(self.columns[j])
-                out[j] = bool(np.all(col[1:] != col[:-1]))
-        return out
+        if self._tie_free is None:
+            out = np.zeros(self.p, dtype=bool)
+            for j in range(self.p):
+                if not self.categorical[j]:
+                    col = np.sort(self.columns[j])
+                    out[j] = bool(np.all(col[1:] != col[:-1]))
+            out.flags.writeable = False
+            self._tie_free = out
+        return self._tie_free
 
     def __repr__(self) -> str:
         n_cat = int(self.categorical.sum())
@@ -169,7 +176,6 @@ def build_cutpoint_grid(
     budget: int,
     min_node_size: int = 1,
     variables: np.ndarray | None = None,
-    tie_free: np.ndarray | None = None,
 ) -> CutpointGrid:
     """Assemble the adaptive cutpoint grid for one node of ``m`` rows.
 
@@ -178,9 +184,11 @@ def build_cutpoint_grid(
     (``m - 2 > budget``) is strided: ``budget`` ranks ``0, j, 2j, ...`` with
     ``j = (m - 2) // budget``.  Every other column (all columns of a smaller
     node, and categorical columns always) starts from ranks ``0 .. m - 2``.
-    Each base rank moves to the end of its tie run, and the distinct results
-    inside ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate
-    ranks; the node maximum never qualifies, so both children are non-empty.
+    Each base rank moves to the end of its tie run (the columns that
+    `X.tie_free_columns` marks keep theirs, so their values are never
+    gathered), and the distinct results inside
+    ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate ranks;
+    the node maximum never qualifies, so both children are non-empty.
     Candidates are grouped by column in the order of ``variables``, ranks
     ascending.
 
@@ -188,10 +196,6 @@ def build_cutpoint_grid(
     ----------
     variables : optional int array
         Score only these columns (the per-node mtry draw).  Default: all.
-    tie_free : optional bool array over all p columns
-        Precomputed `X.tie_free_columns()`.  The columns it marks keep their
-        base ranks, so their sorted values are never gathered; ``None``
-        snaps every column.
     """
     if budget < 1:
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
@@ -206,7 +210,7 @@ def build_cutpoint_grid(
         groups = [(budget, (m - 2) // budget, strided), (m - 1, 1, ~strided)]
     else:
         groups = [(m - 1, 1, np.ones(variables.size, dtype=bool))]
-    snap = np.ones(variables.size, dtype=bool) if tie_free is None else ~tie_free[variables]
+    snap = ~X.tie_free_columns()[variables]
     # candidate keys ``position in variables * m + rank``, one chunk per kind
     # of column and group; several chunks are merged by sorting, and the
     # leading empty chunk types an empty grid

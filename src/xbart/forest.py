@@ -13,6 +13,7 @@ prediction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,9 +31,10 @@ class Hyperparams:
     """Sampler configuration; every default follows the reference setup.
 
     ``None`` fields are resolved against the data at fit time:
-    ``n_cutpoints`` becomes ``min(n, 100)``, ``mtry`` scores all variables
-    (``ForestSampler.grow_params`` holds the resolved copy), ``b_sigma``
-    becomes Var(y) and ``b_tau`` becomes ``Var(y) / (2 n_trees)``.
+    ``n_cutpoints`` becomes ``min(n, 100)``, ``mtry`` becomes ``p`` (score
+    all variables), ``b_sigma`` becomes Var(y) and ``b_tau`` becomes
+    ``Var(y) / (2 n_trees)``.  ``ForestSampler.params`` holds the resolved
+    copy; ``FittedModel.params`` keeps the fields as the caller gave them.
     """
 
     n_trees: int = 20
@@ -151,39 +153,33 @@ class ForestSampler:
             raise DataError(f"target row {row} is {y[row]}")
         if X.n < 2:
             raise DataError("need at least two rows to fit")
-        self.params = params if params is not None else Hyperparams()
+        params = params if params is not None else Hyperparams()
+        p = X.p
+        if params.mtry is not None and params.mtry > p:
+            raise ConfigError(f"mtry={params.mtry} exceeds the {p} available columns")
         self.X = X
         self.rng = np.random.default_rng(seed)
-
-        p = X.p
-        # the validated fields are None or >= 1, so ``or`` picks the default
-        self.grow_params = replace(
-            self.params,
-            n_cutpoints=self.params.n_cutpoints or min(X.n, 100),
-            mtry=self.params.mtry or p,
-        )
-        if self.grow_params.mtry > p:
-            raise ConfigError(
-                f"mtry={self.grow_params.mtry} exceeds the {p} available columns"
-            )
-        self.y_offset = float(y.mean())
-        self.y_centred = y - self.y_offset
-        var_y = float(np.var(self.y_centred, ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.y_offset = float(y.mean())
+            self.y_centred = y - self.y_offset
+            var_y = float(np.var(self.y_centred, ddof=1))
+        if not math.isfinite(var_y):
+            raise DataError(f"target variance is {var_y} in float64; rescale the target")
         if var_y == 0.0:
             # constant target: keep the variance scales positive
             var_y = 1.0
-        self.b_sigma = (
-            self.params.b_sigma if self.params.b_sigma is not None else var_y
-        )
-        self.b_tau = (
-            self.params.b_tau
-            if self.params.b_tau is not None
-            else 0.5 * var_y / self.params.n_trees
+        # the resolved configuration; validated fields are None or positive,
+        # so ``or`` picks the default
+        self.params = replace(
+            params,
+            n_cutpoints=params.n_cutpoints or min(X.n, 100),
+            mtry=params.mtry or p,
+            b_sigma=params.b_sigma or var_y,
+            b_tau=params.b_tau or 0.5 * var_y / params.n_trees,
         )
         self.root_index = presort(X)
-        self.tie_free = X.tie_free_columns()
 
-        L = self.params.n_trees
+        L = params.n_trees
         self.trees: list[Tree] = [Tree.single_leaf(0.0) for _ in range(L)]
         self.sigma2 = var_y
         self.tau = var_y / L
@@ -196,18 +192,17 @@ class ForestSampler:
     def update_tree(self, h: int) -> None:
         """Regrow tree ``h`` against its partial residuals, then redraw sigma^2."""
         partial = self.residual + self.fitted[h]
-        subsample = self.grow_params.mtry < self.X.p
+        subsample = self.params.mtry < self.X.p
         self.trees[h] = grow_tree(
             self.X,
             self.root_index,
             partial,
             self.sigma2,
             self.tau,
-            self.grow_params,
+            self.params,
             self.rng,
             var_weights=self.weights if subsample and self.draws else None,
             fitted_out=self.fitted[h],
-            tie_free=self.tie_free,
         )
         splits = self.trees[h].var
         self.split_counts[h] = np.bincount(splits[splits >= 0], minlength=self.X.p)
@@ -215,7 +210,9 @@ class ForestSampler:
         self.weights = update_variable_weights(
             self.split_counts, self.rng if subsample else None
         )
-        self.sigma2 = update_sigma2(self.residual, self.params.a_sigma, self.b_sigma, self.rng)
+        self.sigma2 = update_sigma2(
+            self.residual, self.params.a_sigma, self.params.b_sigma, self.rng
+        )
 
     def run_sweep(self) -> SweepDraw:
         """One full pass over the ensemble plus the end-of-sweep tau draw."""
@@ -223,7 +220,7 @@ class ForestSampler:
             self.update_tree(h)
         if self.params.sample_tau:
             leaf_values = np.concatenate([t.leaf_values() for t in self.trees])
-            self.tau = update_tau(leaf_values, self.params.a_tau, self.b_tau, self.rng)
+            self.tau = update_tau(leaf_values, self.params.a_tau, self.params.b_tau, self.rng)
         draw = SweepDraw(
             sweep=len(self.draws) + 1,
             trees=list(self.trees),

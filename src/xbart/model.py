@@ -44,6 +44,11 @@ class FittedModel:
             raise DataError(
                 f"model was fitted on {self.n_features} columns, got {X.p}"
             )
+        if X.names and self.feature_names and X.names != self.feature_names:
+            j = next(j for j, (a, b) in enumerate(zip(X.names, self.feature_names)) if a != b)
+            raise DataError(
+                f"column {j} is named {X.names[j]!r}, model expects {self.feature_names[j]!r}"
+            )
         return X
 
     def predict_draws(self, X) -> np.ndarray:
@@ -104,14 +109,15 @@ def fit(X, y, params: Hyperparams | None = None, seed=0) -> FittedModel:
     ``X`` may be a ``PredictorMatrix`` or a plain ``(n, p)`` array (all
     columns continuous).  ``seed`` feeds ``numpy.random.default_rng``.
     """
+    params = params if params is not None else Hyperparams()
     sampler = ForestSampler(X, y, params=params, seed=seed)
     return FittedModel(
-        params=sampler.params,
+        params=params,
         y_offset=sampler.y_offset,
         n_features=sampler.X.p,
         categorical=sampler.X.categorical.copy(),
         feature_names=list(sampler.X.names) if sampler.X.names else None,
-        draws=sampler.run()[sampler.params.burnin :],
+        draws=sampler.run()[params.burnin :],
     )
 
 
@@ -160,10 +166,10 @@ def load_model(path) -> FittedModel:
             raise ModelFormatError(
                 f"feature_names is not a list of {n_features} strings: {feature_names!r}"
             )
-        draws = [
-            _load_draw(d, k, params.n_trees, n_features)
-            for k, d in enumerate(payload["draws"])
-        ]
+        draws: list[SweepDraw] = []
+        for k, d in enumerate(payload["draws"]):
+            after = draws[-1].sweep if draws else 0
+            draws.append(_load_draw(d, k, params, n_features, after))
         model = FittedModel(
             params=params,
             y_offset=parse_finite(payload["y_offset"], "y_offset"),
@@ -194,14 +200,18 @@ def _load_params(raw) -> Hyperparams:
         raise ModelFormatError(f"params.{exc}") from None
 
 
-def _load_draw(d: dict, k: int, n_trees: int, n_features: int) -> SweepDraw:
-    """Stored draw ``k``, its sweep number and tree count checked."""
+def _load_draw(d: dict, k: int, params: Hyperparams, n_features: int, after: int) -> SweepDraw:
+    """Stored draw ``k``, its tree count checked and its sweep number, which
+    must exceed the previous draw's (``after``) and not ``params.n_sweeps``."""
     sweep, trees = d["sweep"], d["trees"]
-    if type(sweep) is not int or sweep < 1:
-        raise ModelFormatError(f"sweep of draw {k} is not a positive integer: {sweep!r}")
-    if len(trees) != n_trees:
+    if type(sweep) is not int or not after < sweep <= params.n_sweeps:
         raise ModelFormatError(
-            f"draw {k} holds {len(trees)} trees, but params.n_trees is {n_trees}"
+            f"sweep of draw {k} is not an integer in {after + 1}..{params.n_sweeps}:"
+            f" {sweep!r}"
+        )
+    if len(trees) != params.n_trees:
+        raise ModelFormatError(
+            f"draw {k} holds {len(trees)} trees, but params.n_trees is {params.n_trees}"
         )
     return SweepDraw(
         sweep=sweep,

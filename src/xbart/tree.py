@@ -172,7 +172,6 @@ def grow_tree(
     var_weights: np.ndarray | None = None,
     *,
     fitted_out: np.ndarray,
-    tie_free: np.ndarray,
 ) -> Tree:
     """Grow one tree from the root over the rows listed in ``index``.
 
@@ -189,15 +188,13 @@ def grow_tree(
     fitted_out : length-n array
         Filled in place with the grown tree's fitted value for every row of
         the node (cheaper than re-evaluating the tree afterwards).
-    tie_free : bool array over all p columns
-        ``X.tie_free_columns()``, passed on to the cutpoint grid.
 
     Returns the grown tree with all leaf means sampled.
     """
-    if sigma2 <= 0.0:
-        raise DataError(f"noise variance must be positive, got {sigma2}")
-    if tau < 0.0:
-        raise DataError(f"leaf prior variance must be non-negative, got {tau}")
+    if not 0.0 < sigma2 < math.inf:
+        raise DataError(f"noise variance must be positive and finite, got {sigma2}")
+    if not 0.0 <= tau < math.inf:
+        raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
     var_l: list[int] = []
     value_l: list[float] = []
     right_l: list[int] = []
@@ -219,12 +216,7 @@ def grow_tree(
                     rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
                 )
             grid = build_cutpoint_grid(
-                X,
-                node_index,
-                params.n_cutpoints,
-                params.min_node_size,
-                variables=chosen,
-                tie_free=tie_free,
+                X, node_index, params.n_cutpoints, params.min_node_size, variables=chosen
             )
             if len(grid):
                 scores = scan_candidates(

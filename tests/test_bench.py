@@ -65,11 +65,6 @@ class TestRunBench:
         _tiny_bench(seed=3, reps=1, jobs=64)
         assert requested == [2]  # one rep runs inline
 
-    def test_n_test_override(self):
-        spec = DgpSpec("max", n=80, p=3)
-        report = run_bench(spec, params=_TINY, reps=1, master_seed=0, n_test=17)
-        assert report.n_test == 17
-
     def test_invalid_run_arguments(self):
         spec = DgpSpec("max", n=80, p=3)
         with pytest.raises(ConfigError):

@@ -103,6 +103,29 @@ class TestFitPredict:
             vals = np.array([float(v) for v in line.split(",")[1:]])
             np.testing.assert_array_equal(vals, draws[i])
 
+    def test_prediction_files_hold_every_value_in_full(self, tmp_path, train_csv):
+        model_path = tmp_path / "model.json"
+        main(["fit", "--train", train_csv, "--target", "y", "--trees", "2",
+              "--sweeps", "4", "--burnin", "2", "--seed", "6", "--out", str(model_path)])
+        test_csv = _write_csv(
+            tmp_path / "test.csv", ["x1", "x2"],
+            np.random.default_rng(3).normal(size=(5, 2)),
+        )
+        model = load_model(model_path)
+        X_test = np.loadtxt(test_csv, delimiter=",", skiprows=1)
+        mean_lines = ["row,yhat"] + [
+            f"{i + 1},{float(v)!r}" for i, v in enumerate(model.predict(X_test))
+        ]
+        draw_lines = ["row,draw_0003,draw_0004"] + [
+            ",".join([str(i + 1)] + [repr(float(v)) for v in row])
+            for i, row in enumerate(model.predict_draws(X_test))
+        ]
+        for flags, lines in (([], mean_lines), (["--draws"], draw_lines)):
+            out_path = tmp_path / "out.csv"
+            assert main(["predict", "--model", str(model_path), "--data", test_csv,
+                         "--out", str(out_path), *flags]) == 0
+            assert out_path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
     def test_predict_ignores_extra_columns(self, tmp_path, train_csv):
         model_path = tmp_path / "model.json"
         main(

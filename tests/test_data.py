@@ -139,9 +139,8 @@ class TestCutpointGrid:
         if data.draw(st.booleans()):
             order = data.draw(st.permutations(range(X.p)))
             variables = np.array(order[: data.draw(st.integers(0, X.p))], dtype=int)
-        tie_free = X.tie_free_columns() if data.draw(st.booleans()) else None
         assert_same_grid(
-            build_cutpoint_grid(X, index, budget, min_node_size, variables, tie_free),
+            build_cutpoint_grid(X, index, budget, min_node_size, variables),
             reference_grid(X, index, budget, min_node_size, variables),
         )
 
@@ -193,17 +192,6 @@ class TestCutpointGrid:
         assert len(grid) <= 5 * 20
         for v in range(5):
             assert (grid.var_ids == v).sum() <= 20
-
-    def test_tie_free_fast_path_matches_general_path(self):
-        rng = np.random.default_rng(11)
-        X = PredictorMatrix(rng.normal(size=(3, 400)))
-        index = presort(X)
-        assert X.tie_free_columns().all()
-        fast = build_cutpoint_grid(X, index, budget=37, tie_free=X.tie_free_columns())
-        slow = build_cutpoint_grid(X, index, budget=37, tie_free=None)
-        assert np.array_equal(fast.var_ids, slow.var_ids)
-        assert np.array_equal(fast.ranks, slow.ranks)
-        assert np.array_equal(fast.values, slow.values)
 
     def test_strided_ranks_snap_to_tie_run_ends(self):
         rng = np.random.default_rng(7)
@@ -263,6 +251,23 @@ class TestPredictorMatrix:
             categorical=[False, False, True],
         )
         assert X.tie_free_columns().tolist() == [True, False, False]
+
+    def test_columns_are_a_read_only_copy_and_flags_are_kept(self):
+        block = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]])
+        kinds = np.array([False, False])
+        X = PredictorMatrix(block, categorical=kinds)
+        block[0, 0] = kinds[0] = 2.0  # the caller's arrays are not the stored ones
+        assert X.columns[0].tolist() == [1.0, 2.0, 3.0]
+        assert X.categorical.tolist() == [False, False]
+        with pytest.raises(ValueError):
+            X.columns[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            X.categorical[0] = True
+        flags = X.tie_free_columns()
+        assert flags.tolist() == [True, False]
+        assert X.tie_free_columns() is flags
+        with pytest.raises(ValueError):
+            flags[1] = True
 
 
 class TestCsvIngestion:

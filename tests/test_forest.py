@@ -188,14 +188,16 @@ class TestSamplerSetup:
         X, y = _toy(n=250)
         s = ForestSampler(X, y, Hyperparams(n_trees=8), seed=0)
         var_y = float(np.var(y, ddof=1))
-        assert s.grow_params.n_cutpoints == 100  # min(n, 100)
-        assert s.grow_params.mtry == 3
-        assert s.b_sigma == pytest.approx(var_y, rel=1e-12)
-        assert s.b_tau == pytest.approx(0.5 * var_y / 8, rel=1e-12)
+        assert s.params.n_cutpoints == 100  # min(n, 100)
+        assert s.params.mtry == 3
+        assert s.params.b_sigma == pytest.approx(var_y, rel=1e-12)
+        assert s.params.b_tau == pytest.approx(0.5 * var_y / 8, rel=1e-12)
+        given = Hyperparams(n_trees=8, n_cutpoints=7, mtry=2, b_sigma=0.5, b_tau=0.25)
+        assert ForestSampler(X, y, given).params == given
 
     def test_small_n_budget(self):
         X, y = _toy(n=40)
-        assert ForestSampler(X, y).grow_params.n_cutpoints == 40
+        assert ForestSampler(X, y).params.n_cutpoints == 40
 
     def test_mtry_exceeding_p_rejected(self):
         X, y = _toy()
@@ -210,6 +212,9 @@ class TestSamplerSetup:
             ForestSampler(X, np.where(np.arange(60) == 3, np.nan, y))
         with pytest.raises(DataError):
             ForestSampler(X[:1], y[:1])
+        # a variance that overflows is named before it reaches the prior fields
+        with pytest.raises(DataError, match="target variance is inf"):
+            ForestSampler(X, 1e300 * np.sign(y))
 
     def test_constant_target_survives(self):
         X, _ = _toy(n=30)

@@ -87,6 +87,19 @@ class TestPrediction:
         with pytest.raises(DataError):
             model.predict(np.zeros((4, 5)))
 
+    def test_feature_names_must_match_the_model(self):
+        X, y = _toy(seed=3)
+        model = fit(
+            PredictorMatrix.from_rows(X, names=["u", "v", "w"]), y,
+            Hyperparams(n_trees=2, n_sweeps=2, burnin=0), seed=1,
+        )
+        swapped = PredictorMatrix.from_rows(X[:, [0, 2, 1]], names=["u", "w", "v"])
+        with pytest.raises(DataError, match="column 1 is named 'w', model expects 'v'"):
+            model.predict(swapped)
+        # bare arrays and matching names predict as before
+        same = PredictorMatrix.from_rows(X, names=["u", "v", "w"])
+        np.testing.assert_array_equal(model.predict(same), model.predict(X))
+
     def test_sigma2_draws_in_sweep_order(self):
         X, y = _toy(seed=5)
         model = fit(X, y, Hyperparams(n_trees=2, n_sweeps=4, burnin=2), seed=7)
@@ -264,6 +277,9 @@ class TestPersistence:
             ("holds 0 trees", lambda p: p["draws"][1].update(trees=[])),
             ("sweep", lambda p: p["draws"][0].update(sweep=1.9)),
             ("sweep", lambda p: p["draws"][0].update(sweep="2")),
+            ("sweep of draw 1 ", lambda p: p["draws"][1].update(sweep=3)),
+            ("sweep of draw 1 ", lambda p: p["draws"][1].update(sweep=5)),
+            ("sweep of draw 2 ", lambda p: p.update(draws=p["draws"] * 5)),
             ("mtry", lambda p: p["params"].update(mtry=5)),
             ("params.beta", lambda p: p["params"].update(beta=np.inf)),
             (r"\['beta'\] are missing", lambda p: p["params"].pop("beta")),
@@ -276,7 +292,8 @@ class TestPersistence:
             "null_categorical", "two_categorical", "long_feature_names", "fractional_n_features",
             "fractional_n_trees", "string_sample_tau", "nan_alpha",
             "n_trees_disagrees_with_draws", "draw_without_trees",
-            "fractional_sweep", "string_sweep", "mtry_exceeds_features",
+            "fractional_sweep", "string_sweep", "repeated_sweep",
+            "sweep_beyond_n_sweeps", "repeated_draw_list", "mtry_exceeds_features",
             "inf_beta", "missing_param", "unknown_param",
         ],
     )

@@ -17,7 +17,6 @@ def _params(**kw):
 
 def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=None, **kw):
     kw.setdefault("fitted_out", np.empty(X.n))
-    kw.setdefault("tie_free", X.tie_free_columns())
     return grow_tree(
         X, presort(X) if index is None else index, np.asarray(resid, dtype=float),
         sigma2, tau, _params() if params is None else params,
@@ -191,6 +190,14 @@ class TestGrow:
             _grow(X, [0.0, 1.0], sigma2=0.0)
         with pytest.raises(DataError):
             _grow(X, [0.0, 1.0], tau=-0.5)
+
+    @pytest.mark.parametrize("name", ["sigma2", "tau"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_variances_rejected_at_a_root_that_cannot_split(self, name, value):
+        # with max_depth=1 the root never scans, so grow_tree itself must check
+        X = PredictorMatrix([[0.0, 1.0, 2.0]])
+        with pytest.raises(DataError, match=f"got {value}"):
+            _grow(X, [1.0, 2.0, 3.0], params=_params(max_depth=1), **{name: value})
 
     def test_tiny_node_cannot_split(self):
         X = PredictorMatrix([[0.0, 1.0, 2.0]])
