@@ -145,7 +145,10 @@ class ForestSampler:
     ):
         if not isinstance(X, PredictorMatrix):
             X = PredictorMatrix.from_rows(X)
-        y = np.asarray(y, dtype=np.float64)
+        try:
+            y = np.asarray(y, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"target is not numeric: {exc}") from None
         if y.ndim != 1 or y.size != X.n:
             raise DataError(f"target has shape {y.shape}, expected ({X.n},)")
         if not np.all(np.isfinite(y)):

@@ -63,10 +63,10 @@ class Tree:
         while stack:
             node, rows = stack.pop()
             while self.var[node] >= 0:
-                go_left = X.columns[self.var[node], rows] <= self.value[node]
+                go_left = X.columns[self.var[node]].take(rows) <= self.value[node]
                 # follow the left side iteratively, push the other
-                stack.append((int(self.right[node]), rows[~go_left]))
-                node, rows = node + 1, rows[go_left]
+                stack.append((int(self.right[node]), np.compress(~go_left, rows)))
+                node, rows = node + 1, np.compress(go_left, rows)
             if rows.size:
                 out[rows] = self.value[node]
         return out

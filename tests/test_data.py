@@ -53,6 +53,49 @@ class TestPresort:
             assert index[v].tolist() == reference_order(cols[v])
 
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 5000])
+    def test_matches_numpy_stable_sort_on_every_column_kind(self, n):
+        rng = np.random.default_rng(n)
+        kinds = sorted(COLUMN_KINDS)
+        X = PredictorMatrix(
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
+        )
+        index = presort(X)
+        assert index.dtype == np.intp
+        np.testing.assert_array_equal(index, np.argsort(X.columns, axis=1, kind="stable"))
+
+    def test_tied_column_with_more_levels_than_sixteen_bits(self):
+        # ranks of more than 65,536 levels need 32 bits; the other columns
+        # take the 8- and 16-bit casts
+        rng = np.random.default_rng(1)
+        n = 70_000
+        X = PredictorMatrix(
+            [
+                np.round(rng.normal(size=n) * 1e6),
+                np.round(rng.normal(size=n) * 1e3),
+                rng.integers(0, 4, size=n) * rng.choice([-0.0, 1.0], size=n),
+            ]
+        )
+        levels = [np.unique(col).size for col in X.columns]
+        assert levels[0] > 65_536 and 256 < levels[1] < 65_536 and levels[2] <= 4
+        assert not X.tie_free_columns().any()
+        np.testing.assert_array_equal(
+            presort(X), np.argsort(X.columns, axis=1, kind="stable")
+        )
+
+    def test_one_tie_pair_keeps_original_order(self):
+        rng = np.random.default_rng(2)
+        col = rng.normal(size=500)
+        col[[40, 7]] = col[123]  # rows 7, 40 and 123 tie; sorted ids ascend
+        X = PredictorMatrix([col, rng.normal(size=500)])
+        assert X.tie_free_columns().tolist() == [False, True]
+        index = presort(X)
+        np.testing.assert_array_equal(index, np.argsort(X.columns, axis=1, kind="stable"))
+        run = np.flatnonzero(np.isin(index[0], [7, 40, 123]))
+        assert index[0, run].tolist() == [7, 40, 123]
+
+
 class TestSift:
     def test_three_row_example(self):
         X = PredictorMatrix([[1.0, 2.0, 3.0]])
@@ -240,6 +283,24 @@ class TestPredictorMatrix:
     def test_flag_shape_checked(self):
         with pytest.raises(DataError):
             PredictorMatrix([[1.0, 2.0]], categorical=[True, False])
+
+    @pytest.mark.parametrize("flag", ["yes", 2, np.nan, 1.0, None, -1])
+    def test_flags_other_than_bools_and_0_1_rejected(self, flag):
+        with pytest.raises(DataError, match=f"categorical flag of column 1 is {flag!r}"):
+            PredictorMatrix([[1.0, 2.0], [3.0, 4.0]], categorical=[True, flag])
+
+    @pytest.mark.parametrize(
+        "flags", [[True, 0], [np.True_, np.int64(0)], np.array([1, 0]), np.array([True, False])]
+    )
+    def test_bool_and_0_1_flags_accepted(self, flags):
+        X = PredictorMatrix([[1.0, 2.0], [3.0, 4.0]], categorical=flags)
+        assert X.categorical.tolist() == [True, False]
+
+    def test_non_numeric_predictors_rejected(self):
+        with pytest.raises(DataError, match="predictors are not numeric"):
+            PredictorMatrix([["a", "b"]])
+        with pytest.raises(DataError, match="predictors are not numeric"):
+            PredictorMatrix.from_rows([["1.5", "x"]])
 
     def test_kind_labels(self):
         X = PredictorMatrix([[1.0], [2.0]], categorical=[False, True])

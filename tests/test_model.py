@@ -87,6 +87,13 @@ class TestPrediction:
         with pytest.raises(DataError):
             model.predict(np.zeros((4, 5)))
 
+    @pytest.mark.parametrize("rows", [np.zeros((4, 3)), np.zeros(4)])
+    def test_width_reported_before_flags(self, rows):
+        model = _manual_model([SweepDraw(1, [Tree.single_leaf(0.0)], 1.0, 1.0)])
+        width = rows.shape[1] if rows.ndim == 2 else 1
+        with pytest.raises(DataError, match=f"model was fitted on 2 columns, got {width}$"):
+            model.predict(rows)
+
     def test_feature_names_must_match_the_model(self):
         X, y = _toy(seed=3)
         model = fit(
@@ -150,6 +157,11 @@ class TestFit:
         np.testing.assert_allclose(
             shifted.predict(Xnew), base.predict(Xnew) + 32.0, rtol=0, atol=1e-10
         )
+
+    def test_non_numeric_target_rejected(self):
+        X, _ = _toy(n=3)
+        with pytest.raises(DataError, match="target is not numeric"):
+            fit(X, ["a", "b", "c"])
 
     def test_plain_arrays_and_seeded_reproducibility(self):
         X, y = _toy(seed=8)
