@@ -39,12 +39,9 @@ class FittedModel:
 
     def _check_features(self, X) -> PredictorMatrix:
         if not isinstance(X, PredictorMatrix):
-            X = np.asarray(X)
-            # a block of the wrong width gets default flags, so the width
-            # check below reports it; from_rows reads 1-d input as one column
-            width = X.shape[1] if X.ndim == 2 else 1
-            fits = width == self.n_features
-            X = PredictorMatrix.from_rows(X, categorical=self.categorical if fits else None)
+            # routing reads no categorical flags, so the default ones let the
+            # width check below report a block of the wrong width
+            X = PredictorMatrix.from_rows(X)
         if X.p != self.n_features:
             raise DataError(
                 f"model was fitted on {self.n_features} columns, got {X.p}"
