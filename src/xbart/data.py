@@ -21,6 +21,7 @@ ties at the cut go left.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class PredictorMatrix:
 
     def __init__(self, columns, categorical=None, names=None):
         try:
+            # checked first: the float cast would keep only the real part
+            if np.iscomplexobj(columns):
+                raise DataError("predictors are complex; pass their real or imaginary part")
             cols = np.array(columns, dtype=np.float64, order="C")
         except (TypeError, ValueError) as exc:
             raise DataError(f"predictors are not numeric: {exc}") from None
@@ -283,7 +287,7 @@ def read_schema(path) -> dict[str, str]:
     """Parse a sidecar schema file: one ``column_name kind`` pair per line."""
     kinds: dict[str, str] = {}
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read schema file: {exc}") from None
     with fh:
@@ -306,17 +310,20 @@ def _parse_cell(text: str, row: int, name: str) -> float:
     if not text:
         raise DataError(f"row {row}: missing value in column {name!r}")
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(
             f"row {row}: non-numeric value {text!r} in column {name!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row}: non-finite value {text!r} in column {name!r}")
+    return value
 
 
 def _read_table(path) -> tuple[list[str], list[list[float]]]:
     """Read a headered CSV into column-major float lists."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read data file: {exc}") from None
     with fh:
@@ -350,8 +357,8 @@ def read_csv_dataset(
 
     Returns the features, named after their columns, and the target.  All
     non-target columns become features, continuous unless the schema marks
-    them categorical.  Missing or non-numeric cells are rejected with the
-    offending row and column named.
+    them categorical.  Missing, non-numeric or non-finite cells are rejected
+    with the offending row and column named.
     """
     header, cols = _read_table(path)
     if target not in header:

@@ -146,6 +146,8 @@ class ForestSampler:
         if not isinstance(X, PredictorMatrix):
             X = PredictorMatrix.from_rows(X)
         try:
+            if np.iscomplexobj(y):
+                raise DataError("target is complex; pass its real or imaginary part")
             y = np.asarray(y, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DataError(f"target is not numeric: {exc}") from None

@@ -7,9 +7,10 @@ on an explicit stack, left subtree fully before the right, so a fixed
 generator seed fixes the tree exactly.  Leaves draw their mean from the
 conjugate normal posterior.
 
-Nodes are stored struct-of-arrays in pre-order: a split's left child is the
-next node and ``right`` names its right child.  ``value`` is the cut of a
-split and the mean of a leaf; ``var`` and ``right`` are -1 on a leaf.
+A tree is two arrays in pre-order: ``var`` is the split variable of a node,
+or -1 on a leaf, and ``value`` is the cut of a split and the mean of a leaf.
+A split's left child is the next node and its right child the node after
+its left subtree, so the order alone fixes the shape.
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ _LEAF = -1
 class Tree:
     """One regression tree in pre-order struct-of-arrays form."""
 
-    def __init__(self, var, value, right):
+    def __init__(self, var, value):
         self.var = np.asarray(var, dtype=np.int32)
         self.value = np.asarray(value, dtype=np.float64)
-        self.right = np.asarray(right, dtype=np.int32)
 
     @classmethod
     def single_leaf(cls, value: float = 0.0) -> "Tree":
-        return cls([_LEAF], [float(value)], [_LEAF])
+        return cls([_LEAF], [float(value)])
 
     @property
     def n_nodes(self) -> int:
@@ -57,18 +57,22 @@ class Tree:
         """Evaluate the tree's step function on every row of ``X``.
 
         Routing matches the training partition: ``x[var] <= cut`` goes left.
+        A split keeps its right rows waiting; in pre-order, the node after a
+        leaf is the right child of the latest split still waiting.
         """
         out = np.empty(X.n, dtype=np.float64)
-        stack = [(0, np.arange(X.n))]
-        while stack:
-            node, rows = stack.pop()
-            while self.var[node] >= 0:
-                go_left = X.columns[self.var[node]].take(rows) <= self.value[node]
-                # follow the left side iteratively, push the other
-                stack.append((int(self.right[node]), np.compress(~go_left, rows)))
-                node, rows = node + 1, np.compress(go_left, rows)
+        rows = np.arange(X.n)
+        waiting = []
+        for v, x in zip(self.var.tolist(), self.value.tolist()):
+            if v != _LEAF:
+                go_left = X.columns[v].take(rows) <= x
+                waiting.append(np.compress(~go_left, rows))
+                rows = np.compress(go_left, rows)
+                continue
             if rows.size:
-                out[rows] = self.value[node]
+                out[rows] = x
+            if waiting:
+                rows = waiting.pop()
         return out
 
     def to_records(self) -> list[list]:
@@ -82,22 +86,21 @@ class Tree:
     def from_records(cls, records: list, n_features: int) -> "Tree":
         """Rebuild a tree from its pre-order records, validating as it goes.
 
-        Node ``i`` is record ``i``, and a split's left child is the next
-        record.  The splits still waiting for a right child form a stack, so
-        any depth parses without recursion.
+        Node ``i`` is record ``i``.  The records owe one node, the root; each
+        record pays one and each split owes two more.  A record that arrives
+        when none is owed trails the root subtree, and a debt left at the end
+        means the list was cut short.
         """
         if not isinstance(records, list) or not records:
             raise ModelFormatError("tree record list is empty or not a list")
-        var, value, right = [], [], []
-        open_splits: list[int] = []
+        var, value = [], []
+        owed = 1
         for pos, rec in enumerate(records):
-            if pos > 0 and var[-1] == _LEAF:
-                if not open_splits:
-                    raise ModelFormatError(
-                        f"{len(records) - pos} trailing tree records after the root"
-                        " subtree"
-                    )
-                right[open_splits.pop()] = pos
+            if not owed:
+                raise ModelFormatError(
+                    f"{len(records) - pos} trailing tree records after the root subtree"
+                )
+            owed -= 1
             if not isinstance(rec, (list, tuple)) or not rec:
                 raise ModelFormatError(f"malformed tree record at {pos}: {rec!r}")
             tag = rec[0]
@@ -118,13 +121,12 @@ class Tree:
                     raise ModelFormatError(f"split variable {v} out of range")
                 var.append(v)
                 value.append(_finite(rec[2], "cut value", pos))
-                open_splits.append(pos)
+                owed += 2
             else:
                 raise ModelFormatError(f"unknown tree record tag {tag!r}")
-            right.append(_LEAF)
-        if open_splits:
+        if owed:
             raise ModelFormatError("tree records truncated mid-subtree")
-        return cls(var, value, right)
+        return cls(var, value)
 
 
 def _finite(value, field: str, pos: int) -> float:
@@ -197,15 +199,11 @@ def grow_tree(
         raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
     var_l: list[int] = []
     value_l: list[float] = []
-    right_l: list[int] = []
-    # (presorted node index, depth, split waiting for this node as its right
-    # child or -1); the left child is pushed last so it is grown first
-    stack = [(index, 0, _LEAF)]
+    # (presorted node index, depth); the left child is pushed last so it is
+    # grown first, which keeps the nodes in pre-order
+    stack = [(index, 0)]
     while stack:
-        node_index, depth, parent = stack.pop()
-        node = len(var_l)
-        if parent != _LEAF:
-            right_l[parent] = node
+        node_index, depth = stack.pop()
         m = node_index.shape[1]
         total = float(residuals[node_index[0]].sum())
         choice = None
@@ -232,7 +230,6 @@ def grow_tree(
                     total=total,
                 )
                 choice = sample_cutpoint(scores, rng)
-        right_l.append(_LEAF)
         if choice is None:
             mu = sample_leaf_value(total, m, sigma2, tau, rng)
             var_l.append(_LEAF)
@@ -242,6 +239,6 @@ def grow_tree(
         var_l.append(choice.var)
         value_l.append(choice.value)
         left_index, right_index = sift(X, node_index, choice.var, choice.value)
-        stack.append((right_index, depth + 1, node))
-        stack.append((left_index, depth + 1, _LEAF))
-    return Tree(var_l, value_l, right_l)
+        stack.append((right_index, depth + 1))
+        stack.append((left_index, depth + 1))
+    return Tree(var_l, value_l)

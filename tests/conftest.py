@@ -104,6 +104,19 @@ def reference_grid(X, index, budget, min_node_size=1, variables=None) -> Cutpoin
     )
 
 
+def _right_child(tree, node: int) -> int:
+    """The node after the left subtree of split ``node``, found by skipping it.
+
+    ``owed`` counts the nodes the left subtree still needs: a split adds two
+    and takes one, a leaf takes one.
+    """
+    end, owed = node + 1, 1
+    while owed:
+        owed += 1 if tree.var[end] >= 0 else -1
+        end += 1
+    return end
+
+
 def tree_depth(tree) -> int:
     """Longest root-to-node edge count, by an explicit stack walk."""
     out = 0
@@ -113,7 +126,7 @@ def tree_depth(tree) -> int:
         out = max(out, d)
         if tree.var[node] >= 0:
             stack.append((node + 1, d + 1))
-            stack.append((int(tree.right[node]), d + 1))
+            stack.append((_right_child(tree, node), d + 1))
     return out
 
 
@@ -121,7 +134,8 @@ def walk_tree(tree, x) -> float:
     """Evaluate one tree on one row by an explicit python descent."""
     node = 0
     while tree.var[node] >= 0:
-        node = node + 1 if x[tree.var[node]] <= tree.value[node] else int(tree.right[node])
+        go_left = x[tree.var[node]] <= tree.value[node]
+        node = node + 1 if go_left else _right_child(tree, node)
     return float(tree.value[node])
 
 

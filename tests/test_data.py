@@ -302,6 +302,10 @@ class TestPredictorMatrix:
         with pytest.raises(DataError, match="predictors are not numeric"):
             PredictorMatrix.from_rows([["1.5", "x"]])
 
+    def test_complex_predictors_rejected(self):
+        with pytest.raises(DataError, match="predictors are complex"):
+            PredictorMatrix(np.array([[1 + 2j, 3]]))
+
     def test_kind_labels(self):
         X = PredictorMatrix([[1.0], [2.0]], categorical=[False, True])
         assert X.categorical.tolist() == [False, True]
@@ -358,6 +362,29 @@ class TestCsvIngestion:
         f = self._write(tmp_path / "d.csv", "a,y\noops,0\n")
         with pytest.raises(DataError, match="non-numeric"):
             read_csv_dataset(f, target="y")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b,y\n1,2,0\n3,nan,1\n", "row 3: non-finite value 'nan' in column 'b'"),
+            ("a,y\n1,0\n2,1\n3,inf\n", "row 4: non-finite value 'inf' in column 'y'"),
+        ],
+        ids=["feature", "target"],
+    )
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, text, message):
+        f = self._write(tmp_path / "d.csv", text)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            read_csv_dataset(f, target="y")
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        f = self._write(tmp_path / "d.csv", "\ufeffy,a\n0.5,1\n1.5,2\n")
+        X, y = read_csv_dataset(f, target="y")
+        assert X.names == ["a"]
+        assert y.tolist() == [0.5, 1.5]
+
+    def test_byte_order_mark_is_not_part_of_the_schema(self, tmp_path):
+        f = self._write(tmp_path / "s.txt", "\ufeffa categorical\n")
+        assert read_schema(f) == {"a": "categorical"}
 
     def test_empty_file(self, tmp_path):
         f = self._write(tmp_path / "d.csv", "")

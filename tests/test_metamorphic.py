@@ -45,7 +45,6 @@ def _assert_same_shapes(a, b):
     for da, db in zip(a.draws, b.draws, strict=True):
         for ta, tb in zip(da.trees, db.trees, strict=True):
             np.testing.assert_array_equal(ta.var, tb.var)
-            np.testing.assert_array_equal(ta.right, tb.right)
 
 
 @SETTINGS

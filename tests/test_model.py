@@ -163,6 +163,11 @@ class TestFit:
         with pytest.raises(DataError, match="target is not numeric"):
             fit(X, ["a", "b", "c"])
 
+    def test_complex_target_rejected(self):
+        X, y = _toy(n=3)
+        with pytest.raises(DataError, match="target is complex"):
+            fit(X, y + 1j)
+
     def test_plain_arrays_and_seeded_reproducibility(self):
         X, y = _toy(seed=8)
         a = fit(X, y, Hyperparams(n_trees=2, n_sweeps=2, burnin=0), seed=3)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import tree_depth, walk_tree
+from conftest import COLUMN_KINDS, tree_depth, walk_tree
 from xbart.data import PredictorMatrix, presort
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import Hyperparams
@@ -67,7 +69,6 @@ class TestEvaluation:
         tree = Tree(
             var=[0, 1, -1, -1, -1],
             value=[0.5, 0.3, 10.0, 20.0, 30.0],
-            right=[4, 3, -1, -1, -1],
         )
         rows = [
             ([0.2, 0.1], 10.0),
@@ -94,10 +95,51 @@ class TestEvaluation:
         tree = Tree(
             var=[1, -1, 1, -1, -1],
             value=[0.5, 1.0, 0.2, 2.0, 3.0],
-            right=[2, -1, 4, -1, -1],
         )
         assert np.bincount(tree.var[tree.var >= 0], minlength=3).tolist() == [0, 2, 0]
         assert tree.leaf_values().tolist() == [1.0, 2.0, 3.0]
+
+
+def _random_tree(data, X):
+    """A valid pre-order tree of depth at most 6 whose cuts are data values.
+
+    Nodes are drawn in pre-order from a stack of the depths still owed, so
+    no child position is ever computed; repeated cuts on one variable leave
+    some subtrees with no rows.
+    """
+    var, value = [], []
+    owed = [0]
+    while owed:
+        depth = owed.pop()
+        if depth < 6 and data.draw(st.booleans()):
+            v = data.draw(st.integers(0, X.p - 1))
+            var.append(v)
+            value.append(data.draw(st.sampled_from(X.columns[v].tolist())))
+            owed += [depth + 1, depth + 1]
+        else:
+            var.append(-1)
+            value.append(data.draw(st.floats(-1e3, 1e3)))
+    return Tree(var, value)
+
+
+class TestRandomTrees:
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_predict_records_and_counts_agree_with_the_oracle(self, data):
+        kinds = data.draw(
+            st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=3)
+        )
+        n = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = PredictorMatrix([COLUMN_KINDS[k](rng, n) for k in kinds])
+        tree = _random_tree(data, X)
+        got = tree.predict(X)
+        for i in range(X.n):
+            assert got[i] == walk_tree(tree, X.columns[:, i])
+        back = Tree.from_records(tree.to_records(), n_features=X.p)
+        assert back.var.tobytes() == tree.var.tobytes()
+        assert back.value.tobytes() == tree.value.tobytes()
+        assert tree.n_leaves == (tree.n_nodes + 1) // 2
 
 
 class TestGrow:
@@ -145,7 +187,7 @@ class TestGrow:
         resid = rng.normal(size=80)
         a = _grow(X, resid, seed=42)
         b = _grow(X, resid, seed=42)
-        for field in ("var", "value", "right"):
+        for field in ("var", "value"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_step_signal_concentrates_on_the_separating_cut(self):
@@ -237,6 +279,8 @@ class TestRecords:
             [["split", 0, float("nan")], ["leaf", 1.0], ["leaf", 2.0]],
             [["leaf", float("inf")]],
             [["leaf", "1.0"]],
+            # a trailing record after a complete split subtree
+            [["split", 0, 0.5], ["leaf", 1.0], ["leaf", 2.0], ["leaf", 3.0]],
         ],
     )
     def test_malformed_records_rejected(self, records):
@@ -245,6 +289,6 @@ class TestRecords:
 
     def test_variable_range_checked_against_feature_count(self):
         records = [["split", 5, 0.5], ["leaf", 1.0], ["leaf", 2.0]]
-        assert Tree.from_records(records, n_features=6).right.tolist() == [2, -1, -1]
+        assert Tree.from_records(records, n_features=6).var.tolist() == [5, -1, -1]
         with pytest.raises(ModelFormatError):
             Tree.from_records(records, n_features=3)
