@@ -15,7 +15,11 @@ Cutpoint candidates are expressed as *ranks* into that ordering: candidate
 rank ``h`` for variable ``v`` means the left child takes sorted positions
 ``0..h`` inclusive.  Ranks always point at the end of a tie run, so the
 partition produced by ``sift`` is identical to evaluating ``x[v] <= cut`` —
-ties at the cut go left.
+ties at the cut go left.  A node's grid starts every column from a ladder of
+evenly spaced base ranks; every tie-free column is continuous, so all of them
+share one ladder and keep its ranks, while the tied and categorical columns
+(each with its own ladder) have their values gathered in one block and their
+base ranks moved to run ends in one pass.
 """
 
 from __future__ import annotations
@@ -215,68 +219,93 @@ def build_cutpoint_grid(
 ) -> CutpointGrid:
     """Assemble the adaptive cutpoint grid for one node of ``m`` rows.
 
-    Every scored column starts from base ranks into its node ordering.  A
-    continuous column in a node with more than ``budget`` interior values
-    (``m - 2 > budget``) is strided: ``budget`` ranks ``0, j, 2j, ...`` with
-    ``j = (m - 2) // budget``.  Every other column (all columns of a smaller
-    node, and categorical columns always) starts from ranks ``0 .. m - 2``.
-    Each base rank moves to the end of its tie run (the columns that
-    `X.tie_free_columns` marks keep theirs, so their values are never
-    gathered), and the distinct results inside
+    Every scored column starts from a ladder of base ranks ``0, j, 2j, ...``
+    into its node ordering, ``count`` of them.  A continuous column in a node
+    with more than ``budget`` interior values (``m - 2 > budget``) is
+    strided: ``count = budget`` and ``j = (m - 2) // budget``.  Every other
+    column (all columns of a smaller node, and categorical columns always)
+    takes every rank ``0 .. m - 2``.  Each base rank moves to the end of its
+    tie run, and the distinct results inside
     ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate ranks;
     the node maximum never qualifies, so both children are non-empty.
     Candidates are grouped by column in the order of ``variables``, ranks
     ascending.
 
+    The columns that `X.tie_free_columns` marks are continuous, so they all
+    share the node's one ladder and keep its ranks without gathering their
+    values.  The values of all other scored columns are gathered at once,
+    and their run ends are found in one pass over that gather.
+
     Parameters
     ----------
     variables : optional int array
-        Score only these columns (the per-node mtry draw).  Default: all.
+        Score only these distinct columns (the per-node mtry draw), in any
+        order.  Default: all.
+
+    Raises
+    ------
+    DataError
+        If ``budget`` or ``min_node_size`` is below 1, or an entry of
+        ``variables`` repeats or lies outside ``0..p-1``.
     """
     if budget < 1:
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
     if min_node_size < 1:
         raise DataError(f"min_node_size must be >= 1, got {min_node_size}")
-    variables = np.arange(X.p) if variables is None else np.asarray(variables, np.intp)
+    variables = np.arange(X.p) if variables is None else _checked_variables(variables, X.p)
     m = index.shape[1]
     lo, hi = min_node_size - 1, m - 1 - min_node_size
-    # base ranks ``0, j, 2j, ...``, ``count`` of them, per group of columns
-    if m - 2 > budget:
-        strided = ~X.categorical[variables]
-        groups = [(budget, (m - 2) // budget, strided), (m - 1, 1, ~strided)]
-    else:
-        groups = [(m - 1, 1, np.ones(variables.size, dtype=bool))]
+    count, j = (budget, (m - 2) // budget) if m - 2 > budget else (m - 1, 1)
     snap = ~X.tie_free_columns()[variables]
-    # candidate keys ``position in variables * m + rank``, one chunk per kind
-    # of column and group; several chunks are merged by sorting, and the
-    # leading empty chunk types an empty grid
-    keys = [np.empty(0, dtype=np.intp)]
-    for count, j, member in groups:
-        free = np.flatnonzero(member & ~snap)
-        if free.size:
-            base = np.arange(count) * j
-            kept = base[(base >= lo) & (base <= hi)]
-            keys.append((free[:, None] * m + kept).ravel())
-        tied = np.flatnonzero(member & snap)
-        if tied.size:
-            cols = variables[tied]
-            sv = X.columns.take(index[cols] + X.n * cols[:, None])
-            run_end = np.ones(sv.shape, dtype=bool)
-            np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
-            flat = np.flatnonzero(run_end)
-            row, end = np.divmod(flat, m)
-            # base ranks at or before each run end plus ``count`` per earlier
-            # row: it rises from one run end to the next exactly when the run
-            # between them holds a base rank, which then moves to that end
-            held = np.minimum(end // j + 1, count) + row * count
-            keep = held > np.concatenate(([0], held[:-1]))
-            keep &= (end >= lo) & (end <= hi)
-            keys.append(tied[row[keep]] * m + end[keep])
-    keys = np.sort(np.concatenate(keys)) if len(keys) > 2 else keys[-1]
+    # candidate keys ``position in variables * m + rank``; the tie-free
+    # columns keep the in-range ranks of the one continuous ladder
+    base = np.arange(count) * j
+    kept = base[(base >= lo) & (base <= hi)]
+    keys = (np.flatnonzero(~snap)[:, None] * m + kept).ravel()
+    tied = np.flatnonzero(snap)
+    if tied.size:
+        cols = variables[tied]
+        # a categorical column takes every rank even in a strided node
+        counts = np.where(X.categorical[cols], m - 1, count)
+        steps = np.where(X.categorical[cols], 1, j)
+        sv = X.columns.take(index[cols] + X.n * cols[:, None])
+        run_end = np.ones(sv.shape, dtype=bool)
+        np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
+        row, end = np.divmod(np.flatnonzero(run_end), m)
+        # base ranks at or before each run end, plus those of earlier rows:
+        # it rises from one run end to the next exactly when the run between
+        # them holds a base rank, which then moves to that end
+        held = np.minimum(end // steps[row] + 1, counts[row])
+        held += (np.cumsum(counts) - counts)[row]
+        keep = held > np.concatenate(([0], held[:-1]))
+        keep &= (end >= lo) & (end <= hi)
+        tied_keys = tied[row[keep]] * m + end[keep]
+        merged = np.concatenate((keys, tied_keys))
+        keys = np.sort(merged) if keys.size and tied_keys.size else merged
     var_ids = variables[keys // m]
     ranks = keys % m
     values = X.columns.take(var_ids * X.n + index.take(var_ids * m + ranks))
     return CutpointGrid(var_ids, ranks, values)
+
+
+def _checked_variables(variables, p: int) -> np.ndarray:
+    """``variables`` as an ``intp`` array of distinct column ids in ``0..p-1``.
+
+    A range check, then one `np.bincount`: O(p) and no sort, because it runs
+    at every node that scores a subset of the columns.
+    """
+    variables = np.asarray(variables, np.intp)
+    outside = np.flatnonzero((variables < 0) | (variables >= p))
+    if outside.size:
+        i = outside[0]
+        raise DataError(f"variables[{i}] is {variables[i]}, outside 0..{p - 1}")
+    repeated = np.flatnonzero(np.bincount(variables, minlength=p)[variables] > 1)
+    if repeated.size:
+        first, again = np.flatnonzero(variables == variables[repeated[0]])[:2]
+        raise DataError(
+            f"variables[{again}] is {variables[again]}, the same column as variables[{first}]"
+        )
+    return variables
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +313,13 @@ def build_cutpoint_grid(
 
 
 def read_schema(path) -> dict[str, str]:
-    """Parse a sidecar schema file: one ``column_name kind`` pair per line."""
+    """Parse a sidecar schema file: one ``column_name kind`` pair per line.
+
+    Blank lines and ``#`` comments are skipped; a column named on two lines
+    is rejected with both line numbers.
+    """
     kinds: dict[str, str] = {}
+    seen_on: dict[str, int] = {}
     try:
         fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
@@ -301,7 +335,13 @@ def read_schema(path) -> dict[str, str]:
                     f"{path}:{lineno}: expected 'column_name "
                     f"{CATEGORICAL}|{CONTINUOUS}', got {line!r}"
                 )
-            kinds[parts[0]] = parts[1]
+            name = parts[0]
+            if name in seen_on:
+                raise DataError(
+                    f"{path}:{lineno}: column {name!r} already named on line {seen_on[name]}"
+                )
+            seen_on[name] = lineno
+            kinds[name] = parts[1]
     return kinds
 
 

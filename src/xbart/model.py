@@ -79,7 +79,11 @@ class FittedModel:
         return np.array([d.sigma2 for d in self.draws])
 
     def save(self, path) -> None:
-        """Write the versioned JSON container."""
+        """Write the versioned JSON container.
+
+        Raises `ModelFormatError`, and leaves ``path`` untouched, when the
+        model holds no retained draws or a number that is not finite.
+        """
         if not self.draws:
             raise ModelFormatError("refusing to save a model with no retained draws")
         payload = {
@@ -100,9 +104,14 @@ class FittedModel:
                 for d in self.draws
             ],
         }
+        # encoded before the file is opened, so a model that cannot be
+        # written leaves whatever is at ``path`` as it was
+        try:
+            text = json.dumps(payload, allow_nan=False)
+        except ValueError as exc:
+            raise ModelFormatError(f"model holds a number that is not finite ({exc})") from None
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 def fit(X, y, params: Hyperparams | None = None, seed=0) -> FittedModel:

@@ -266,6 +266,21 @@ class TestCutpointGrid:
         )
         assert set(grid.var_ids.tolist()) <= {1, 3}
 
+    @pytest.mark.parametrize(
+        "variables, message",
+        [
+            ([1, 1], r"variables\[1\] is 1, the same column as variables\[0\]"),
+            ([0, 3], r"variables\[1\] is 3, outside 0\.\.2"),
+            ([-1, 0], r"variables\[0\] is -1, outside 0\.\.2"),
+        ],
+        ids=["repeated", "past_the_last_column", "negative"],
+    )
+    def test_bad_variable_subset_rejected(self, variables, message):
+        # a repeat would score its column twice, -1 would wrap to column 2
+        X = PredictorMatrix(np.random.default_rng(4).normal(size=(3, 40)))
+        with pytest.raises(DataError, match=message):
+            build_cutpoint_grid(X, presort(X), budget=10, variables=np.array(variables))
+
 
 class TestPredictorMatrix:
     def test_from_rows_transposes(self):
@@ -415,6 +430,13 @@ class TestCsvIngestion:
     def test_malformed_schema_line(self, tmp_path):
         schema = self._write(tmp_path / "s.txt", "a sometimes-categorical\n")
         with pytest.raises(DataError, match="categorical"):
+            read_schema(schema)
+
+    def test_schema_column_named_twice(self, tmp_path):
+        schema = self._write(
+            tmp_path / "s.txt", "a categorical\nb continuous\n\na continuous\n"
+        )
+        with pytest.raises(DataError, match="s.txt:4: column 'a' already named on line 1"):
             read_schema(schema)
 
     def test_predict_features_select_by_name(self, tmp_path):

@@ -218,6 +218,15 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             model.save(tmp_path / "m.json")
 
+    def test_non_finite_number_refuses_to_save(self, tmp_path):
+        _, model = self._fitted(seed=8)
+        model.draws[0].sigma2 = np.nan
+        path = tmp_path / "m.json"
+        path.write_bytes(b"kept")
+        with pytest.raises(ModelFormatError, match="not finite"):
+            model.save(path)
+        assert path.read_bytes() == b"kept"
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json", encoding="utf-8")
