@@ -292,9 +292,16 @@ def _checked_variables(variables, p: int) -> np.ndarray:
     """``variables`` as an ``intp`` array of distinct column ids in ``0..p-1``.
 
     A range check, then one `np.bincount`: O(p) and no sort, because it runs
-    at every node that scores a subset of the columns.
+    at every node that scores a subset of the columns.  Entries must be
+    integers in a flat sequence: a cast would truncate ``0.5`` to column 0.
     """
-    variables = np.asarray(variables, np.intp)
+    variables = np.asarray(variables)
+    if variables.ndim != 1:
+        raise DataError(f"variables must be 1-d, got shape {variables.shape}")
+    # an empty list arrives as float64 and names no column
+    if variables.size and variables.dtype.kind not in "iu":
+        raise DataError(f"variables must be integer column ids, got dtype {variables.dtype}")
+    variables = variables.astype(np.intp, copy=False)
     outside = np.flatnonzero((variables < 0) | (variables >= p))
     if outside.size:
         i = outside[0]

@@ -88,9 +88,11 @@ class CandidateScores:
 
     def probabilities(self) -> np.ndarray:
         """Normalised selection probabilities; the last entry is no-split."""
-        z = np.append(self.log_scores, self.no_split_log_score)
-        z = z - z.max()
-        probs = np.exp(z)
+        probs = np.empty(len(self.log_scores) + 1)
+        probs[:-1] = self.log_scores
+        probs[-1] = self.no_split_log_score
+        probs -= probs.max()
+        np.exp(probs, out=probs)
         probs /= probs.sum()
         return probs
 
@@ -154,13 +156,17 @@ def scan_candidates(
     np.cumsum(block, axis=1, out=block)
     s_left = block[row, slot]
     n_left = ranks + 1
-    log_scores = split_loglik(s_left, n_left, total, m, sigma2, tau)
-    no_split = no_split_log_weight(len(grid), depth, alpha, beta) + node_marginal_loglik(
-        total, m, sigma2, tau
+    # the left children, the right children and the parent in one call
+    loglik = node_marginal_loglik(
+        np.concatenate((s_left, total - s_left, (total,))),
+        np.concatenate((n_left, m - n_left, (m,))),
+        sigma2,
+        tau,
     )
+    no_split = no_split_log_weight(n_cand, depth, alpha, beta) + loglik[-1]
     return CandidateScores(
         grid=grid,
-        log_scores=np.atleast_1d(log_scores),
+        log_scores=loglik[:n_cand] + loglik[n_cand:-1],
         no_split_log_score=no_split,
         depth=depth,
     )

@@ -11,6 +11,12 @@ A tree is two arrays in pre-order: ``var`` is the split variable of a node,
 or -1 on a leaf, and ``value`` is the cut of a split and the mean of a leaf.
 A split's left child is the next node and its right child the node after
 its left subtree, so the order alone fixes the shape.
+
+A tree is evaluated on a batch of rows by node codes: each row holds the
+pre-order id of its current node in one byte (wider only past 256 nodes),
+and each split, visited in pre-order, moves the rows coded with its id to
+one of its children by whole-array integer arithmetic.  The work is rows
+times splits of contiguous byte operations, with no per-node row lists.
 """
 
 from __future__ import annotations
@@ -57,23 +63,39 @@ class Tree:
         """Evaluate the tree's step function on every row of ``X``.
 
         Routing matches the training partition: ``x[var] <= cut`` goes left.
-        A split keeps its right rows waiting; in pre-order, the node after a
-        leaf is the right child of the latest split still waiting.
+        Each row's code is the pre-order id of its current node, in the
+        narrowest unsigned type that holds every id (``uint8`` up to 256
+        nodes), and starts at the root, 0.  A row reaches split ``i`` before
+        the pre-order visit of ``i``, so one pass over the splits suffices:
+        at split ``i`` the whole column is compared once with the cut, and
+        the rows coded ``i`` add 1 to reach the left child, plus the size of
+        the left subtree if they go right.  The codes then name leaves, and
+        one ``take`` reads their means.
+
+        The cost grows with rows times splits, where routing row lists down
+        the tree grows with rows times depth.  The byte operations are cheap
+        enough per row that this wins on the small trees XBART grows (the
+        largest in the benchmark workloads' seed-1 models has 133 nodes) and
+        loses on trees of some hundreds of nodes (``BENCH_predict.json``).
         """
-        out = np.empty(X.n, dtype=np.float64)
-        rows = np.arange(X.n)
-        waiting = []
-        for v, x in zip(self.var.tolist(), self.value.tolist()):
-            if v != _LEAF:
-                go_left = X.columns[v].take(rows) <= x
-                waiting.append(np.compress(~go_left, rows))
-                rows = np.compress(go_left, rows)
+        var = self.var.tolist()
+        code_type = np.min_scalar_type(len(var) - 1)
+        code = np.zeros(X.n, dtype=code_type)
+        step = np.empty_like(code)
+        here = np.empty(X.n, dtype=bool)
+        go_right = np.empty(X.n, dtype=bool)
+        for i, (v, right) in enumerate(zip(var, _right_children(var))):
+            if v == _LEAF:
                 continue
-            if rows.size:
-                out[rows] = x
-            if waiting:
-                rows = waiting.pop()
-        return out
+            np.greater(X.columns[v], self.value[i], out=go_right)
+            np.equal(code, code_type.type(i), out=here)
+            np.logical_and(go_right, here, out=go_right)
+            # the rows at split i step to its left child, i + 1, and those
+            # going right step on by the size of the left subtree
+            np.add(code, here.view(np.uint8), out=code)
+            np.multiply(go_right.view(np.uint8), code_type.type(right - i - 1), out=step)
+            np.add(code, step, out=code)
+        return self.value.take(code)
 
     def to_records(self) -> list[list]:
         """Pre-order node records: ``["split", var, cut]`` / ``["leaf", value]``."""
@@ -127,6 +149,22 @@ class Tree:
         if owed:
             raise ModelFormatError("tree records truncated mid-subtree")
         return cls(var, value)
+
+
+def _right_children(var: list[int]) -> list[int]:
+    """The right child of every split of a pre-order ``var`` list; 0 on a leaf.
+
+    The node after a leaf is the right child of the latest split whose right
+    child is still missing.
+    """
+    right = [0] * len(var)
+    waiting = []
+    for i, v in enumerate(var):
+        if i and var[i - 1] == _LEAF:
+            right[waiting.pop()] = i
+        if v != _LEAF:
+            waiting.append(i)
+    return right
 
 
 def _finite(value, field: str, pos: int) -> float:

@@ -266,17 +266,29 @@ class TestCutpointGrid:
         )
         assert set(grid.var_ids.tolist()) <= {1, 3}
 
+    def test_variable_subset_may_be_a_list_or_empty(self):
+        X = PredictorMatrix(np.random.default_rng(2).normal(size=(4, 60)))
+        index = presort(X)
+        from_list = build_cutpoint_grid(X, index, budget=10, variables=[3, 1])
+        from_array = build_cutpoint_grid(X, index, budget=10, variables=np.array([3, 1]))
+        assert from_list.var_ids.tolist() == from_array.var_ids.tolist()
+        assert from_list.values.tolist() == from_array.values.tolist()
+        assert len(build_cutpoint_grid(X, index, budget=10, variables=[])) == 0
+
     @pytest.mark.parametrize(
         "variables, message",
         [
             ([1, 1], r"variables\[1\] is 1, the same column as variables\[0\]"),
             ([0, 3], r"variables\[1\] is 3, outside 0\.\.2"),
             ([-1, 0], r"variables\[0\] is -1, outside 0\.\.2"),
+            ([0.5, 1.7], r"integer column ids, got dtype float64"),
+            ([[0, 1]], r"1-d, got shape \(1, 2\)"),
         ],
-        ids=["repeated", "past_the_last_column", "negative"],
+        ids=["repeated", "past_the_last_column", "negative", "fractional", "two_dimensional"],
     )
     def test_bad_variable_subset_rejected(self, variables, message):
-        # a repeat would score its column twice, -1 would wrap to column 2
+        # a repeat would score its column twice, -1 would wrap to column 2,
+        # 0.5 would truncate to column 0
         X = PredictorMatrix(np.random.default_rng(4).normal(size=(3, 40)))
         with pytest.raises(DataError, match=message):
             build_cutpoint_grid(X, presort(X), budget=10, variables=np.array(variables))

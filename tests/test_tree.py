@@ -27,6 +27,14 @@ def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=No
     )
 
 
+def _assert_predicts_its_walks(tree, X):
+    """``tree.predict(X)``, checked row by row against the explicit descent."""
+    got = tree.predict(X)
+    for i in range(X.n):
+        assert got[i] == walk_tree(tree, X.columns[:, i])
+    return got
+
+
 class TestLeafValue:
     def test_posterior_moments_unit_case(self):
         # s=2, n=1, unit variances: posterior N(1, 1/2)
@@ -62,7 +70,32 @@ class TestEvaluation:
     def test_single_leaf_constant(self):
         tree = Tree.single_leaf(7.0)
         X = PredictorMatrix.from_rows(np.random.default_rng(0).normal(size=(5, 2)))
-        assert tree.predict(X).tolist() == [7.0] * 5
+        assert _assert_predicts_its_walks(tree, X).tolist() == [7.0] * 5
+
+    @pytest.mark.parametrize(
+        "cut, column, leaf",
+        [
+            (0.5, [0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)], [1, 2, 1]),
+            (0.0, [-0.0, 0.0, 5e-324, -5e-324], [1, 1, 2, 1]),
+            (-0.0, [-0.0, 0.0, 5e-324, -5e-324], [1, 1, 2, 1]),
+        ],
+        ids=["at_the_cut", "positive_zero_cut", "negative_zero_cut"],
+    )
+    def test_rows_equal_to_the_cut_go_left(self, cut, column, leaf):
+        # -0.0 and 0.0 compare equal, so both go left of either zero cut
+        tree = Tree(var=[0, -1, -1], value=[cut, 1.0, 2.0])
+        X = PredictorMatrix([column])
+        assert _assert_predicts_its_walks(tree, X).tolist() == leaf
+
+    def test_categorical_column_sends_levels_up_to_the_cut_left(self):
+        # column 0 holds levels 0-3; levels 0 and 1 go left, then x1 <= 0.5
+        tree = Tree(var=[0, -1, 1, -1, -1], value=[1.0, 10.0, 0.5, 20.0, 30.0])
+        X = PredictorMatrix(
+            [[0.0, 1.0, 2.0, 3.0, 2.0, 3.0], [0.9, 0.1, 0.5, 0.6, 0.7, 0.0]],
+            categorical=[True, False],
+        )
+        got = _assert_predicts_its_walks(tree, X)
+        assert got.tolist() == [10.0, 10.0, 20.0, 30.0, 30.0, 20.0]
 
     def test_hand_built_partition(self):
         # root: x0 <= 0.5; its left child: x1 <= 0.3
@@ -87,9 +120,7 @@ class TestEvaluation:
         resid = np.sign(X.columns[0]) + X.columns[2] + 0.3 * rng.normal(size=120)
         tree = _grow(X, resid, seed=9, sigma2=0.2)
         assert tree.n_leaves > 2  # make sure the oracle exercises real structure
-        got = tree.predict(X)
-        for i in range(X.n):
-            assert got[i] == walk_tree(tree, X.columns[:, i])
+        _assert_predicts_its_walks(tree, X)
 
     def test_split_counts(self):
         tree = Tree(
@@ -100,46 +131,64 @@ class TestEvaluation:
         assert tree.leaf_values().tolist() == [1.0, 2.0, 3.0]
 
 
-def _random_tree(data, X):
-    """A valid pre-order tree of depth at most 6 whose cuts are data values.
+@st.composite
+def preorder_trees(draw, X, min_splits=0, max_splits=20):
+    """A random pre-order tree over ``X`` whose cuts are data values.
 
-    Nodes are drawn in pre-order from a stack of the depths still owed, so
-    no child position is ever computed; repeated cuts on one variable leave
-    some subtrees with no rows.
+    The shape is a shuffled word of ``k`` splits (+1) and ``k + 1`` leaves
+    (-1), rotated to start just after the first minimum of its prefix sums:
+    by the cycle lemma exactly that rotation never runs out of owed nodes
+    before its end, so it is a valid pre-order.  Leaf ``i`` holds ``i``, so a
+    prediction names the leaf a row reached; repeated cuts on one variable
+    leave some subtrees with no rows.
     """
+    k = draw(st.integers(min_splits, max_splits))
+    word = draw(st.permutations([1] * k + [-1] * (k + 1)))
+    start = int(np.argmin(np.cumsum(word))) + 1
     var, value = [], []
-    owed = [0]
-    while owed:
-        depth = owed.pop()
-        if depth < 6 and data.draw(st.booleans()):
-            v = data.draw(st.integers(0, X.p - 1))
-            var.append(v)
-            value.append(data.draw(st.sampled_from(X.columns[v].tolist())))
-            owed += [depth + 1, depth + 1]
-        else:
+    for i, kind in enumerate(word[start:] + word[:start]):
+        if kind < 0:
             var.append(-1)
-            value.append(data.draw(st.floats(-1e3, 1e3)))
+            value.append(float(i))
+            continue
+        v = draw(st.integers(0, X.p - 1))
+        var.append(v)
+        value.append(draw(st.sampled_from(X.columns[v].tolist())))
     return Tree(var, value)
+
+
+def _columns(data, max_n=40):
+    """One to three columns of ``COLUMN_KINDS`` and their categorical flags."""
+    kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=3))
+    n = data.draw(st.integers(1, max_n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    return np.array([COLUMN_KINDS[k](rng, n) for k in kinds]), [k == "categorical" for k in kinds]
 
 
 class TestRandomTrees:
     @given(data=st.data())
     @settings(max_examples=200)
     def test_predict_records_and_counts_agree_with_the_oracle(self, data):
-        kinds = data.draw(
-            st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=3)
-        )
-        n = data.draw(st.integers(1, 40))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        X = PredictorMatrix([COLUMN_KINDS[k](rng, n) for k in kinds])
-        tree = _random_tree(data, X)
-        got = tree.predict(X)
-        for i in range(X.n):
-            assert got[i] == walk_tree(tree, X.columns[:, i])
+        X = PredictorMatrix(*_columns(data))
+        tree = data.draw(preorder_trees(X))
+        _assert_predicts_its_walks(tree, X)
         back = Tree.from_records(tree.to_records(), n_features=X.p)
         assert back.var.tobytes() == tree.var.tobytes()
         assert back.value.tobytes() == tree.value.tobytes()
         assert tree.n_leaves == (tree.n_nodes + 1) // 2
+
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_trees_past_256_nodes_agree_with_the_oracle(self, data):
+        # node ids past 255 no longer fit in a byte
+        columns, categorical = _columns(data)
+        tree = data.draw(preorder_trees(PredictorMatrix(columns), 128, 160))
+        # one more row, above every cut, goes right to the last node
+        above = columns.max(axis=1, keepdims=True) + 1.0
+        X = PredictorMatrix(np.hstack((columns, above)), categorical=categorical)
+        got = _assert_predicts_its_walks(tree, X)
+        assert tree.n_nodes >= 257
+        assert got[-1] == tree.n_nodes - 1
 
 
 class TestGrow:
