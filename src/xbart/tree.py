@@ -73,10 +73,11 @@ class Tree:
         one ``take`` reads their means.
 
         The cost grows with rows times splits, where routing row lists down
-        the tree grows with rows times depth.  The byte operations are cheap
-        enough per row that this wins on the small trees XBART grows (the
-        largest in the benchmark workloads' seed-1 models has 133 nodes) and
-        loses on trees of some hundreds of nodes (``BENCH_predict.json``).
+        the tree grows with rows times the depth each row reaches.  Timed per
+        tree on 10^5 rows (``BENCH_predict.json``), node codes were faster on
+        the trees of the benchmark models (133 nodes at most), about even on
+        a grown tree of 241 nodes, and about three times slower on the 663-
+        and 891-node trees that single-tree fits grow on 10^5 rows.
         """
         var = self.var.tolist()
         code_type = np.min_scalar_type(len(var) - 1)

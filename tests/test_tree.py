@@ -132,24 +132,27 @@ class TestEvaluation:
 
 
 @st.composite
-def preorder_trees(draw, X, min_splits=0, max_splits=20):
+def preorder_trees(draw, X, min_splits=0, max_splits=63):
     """A random pre-order tree over ``X`` whose cuts are data values.
 
     The shape is a shuffled word of ``k`` splits (+1) and ``k + 1`` leaves
     (-1), rotated to start just after the first minimum of its prefix sums:
     by the cycle lemma exactly that rotation never runs out of owed nodes
-    before its end, so it is a valid pre-order.  Leaf ``i`` holds ``i``, so a
-    prediction names the leaf a row reached; repeated cuts on one variable
-    leave some subtrees with no rows.
+    before its end, so it is a valid pre-order.  The leaves hold distinct
+    values, so a prediction names the leaf a row reached; repeated cuts on
+    one variable leave some subtrees with no rows.
     """
     k = draw(st.integers(min_splits, max_splits))
     word = draw(st.permutations([1] * k + [-1] * (k + 1)))
     start = int(np.argmin(np.cumsum(word))) + 1
+    leaves = iter(
+        draw(st.lists(st.floats(-1e3, 1e3), min_size=k + 1, max_size=k + 1, unique=True))
+    )
     var, value = [], []
-    for i, kind in enumerate(word[start:] + word[:start]):
+    for kind in word[start:] + word[:start]:
         if kind < 0:
             var.append(-1)
-            value.append(float(i))
+            value.append(next(leaves))
             continue
         v = draw(st.integers(0, X.p - 1))
         var.append(v)
@@ -188,7 +191,7 @@ class TestRandomTrees:
         X = PredictorMatrix(np.hstack((columns, above)), categorical=categorical)
         got = _assert_predicts_its_walks(tree, X)
         assert tree.n_nodes >= 257
-        assert got[-1] == tree.n_nodes - 1
+        assert got[-1] == tree.value[-1]
 
 
 class TestGrow:
