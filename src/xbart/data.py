@@ -35,6 +35,9 @@ from .errors import DataError
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
 
+# Rows per block of PredictorMatrix's transposing copy (BENCH_ingest.json).
+_COPY_BLOCK = 512
+
 
 class PredictorMatrix:
     """Numeric feature table stored column-major with per-column kind flags.
@@ -44,7 +47,10 @@ class PredictorMatrix:
     columns : ndarray, shape (p, n)
         One row per variable.  Stored as a read-only contiguous float64 copy,
         so per-variable gathers in the sampler hot path touch contiguous
-        memory and facts derived from the values cannot go stale.
+        memory and facts derived from the values cannot go stale.  The copy
+        is made a block of rows at a time, with each block cast and checked
+        for finite values as it is written: one read and one write of the
+        data, and no full-size temporary for float32, integer or bool input.
     categorical : sequence of p bools or 0/1 ints, optional
         Marks columns whose distinct values are treated as unordered levels
         for cutpoint-grid purposes.  Stored as a read-only copy.  Default: all
@@ -58,15 +64,27 @@ class PredictorMatrix:
             # checked first: the float cast would keep only the real part
             if np.iscomplexobj(columns):
                 raise DataError("predictors are complex; pass their real or imaginary part")
-            cols = np.array(columns, dtype=np.float64, order="C")
+            src = np.asarray(columns)
+            if src.dtype.kind not in "biuf":
+                # strings, objects and mixed lists parse as a whole
+                src = np.asarray(columns, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise DataError(f"predictors are not numeric: {exc}") from None
-        if cols.ndim != 2:
-            raise DataError(f"expected a 2-d column block, got ndim={cols.ndim}")
-        p, n = cols.shape
+        if src.ndim != 2:
+            raise DataError(f"expected a 2-d column block, got ndim={src.ndim}")
+        p, n = src.shape
         if n < 1 or p < 1:
             raise DataError(f"need at least one row and one column, got n={n}, p={p}")
-        if not np.all(np.isfinite(cols)):
+        # Copied _COPY_BLOCK rows at a time: a block of row-major input is one
+        # contiguous read whose p column pieces stay cached until written, and
+        # each block is checked for finite values while it is still cached.
+        cols = np.empty((p, n), dtype=np.float64)
+        finite = True
+        for lo in range(0, n, _COPY_BLOCK):
+            block = cols[:, lo : lo + _COPY_BLOCK]
+            block[...] = src[:, lo : lo + _COPY_BLOCK]
+            finite = finite and np.isfinite(block).all()
+        if not finite:
             var, row = np.argwhere(~np.isfinite(cols))[0]
             raise DataError(
                 f"column {var}, row {row} is {cols[var, row]}; "

@@ -39,8 +39,8 @@ class FittedModel:
 
     def _check_features(self, X) -> PredictorMatrix:
         if not isinstance(X, PredictorMatrix):
-            # routing reads no categorical flags, so the default ones let the
-            # width check below report a block of the wrong width
+            # node codes read no categorical flags, so the default ones let
+            # the width check below report a block of the wrong width
             X = PredictorMatrix.from_rows(X)
         if X.p != self.n_features:
             raise DataError(

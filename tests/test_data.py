@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import COLUMN_KINDS, reference_grid
 from xbart.data import (
+    _COPY_BLOCK,
     PredictorMatrix,
     build_cutpoint_grid,
     presort,
@@ -306,6 +307,53 @@ class TestPredictorMatrix:
         # the first column at fault, then its first row
         with pytest.raises(DataError, match="column 0, row 2 is -inf"):
             PredictorMatrix([[0.0, 1.0, -np.inf], [np.inf, 2.0, 3.0]])
+        # past the first block, the earlier column wins over the earlier row
+        block = np.zeros((3, 2 * _COPY_BLOCK + 5))
+        block[2, _COPY_BLOCK + 1] = np.nan
+        block[1, 2 * _COPY_BLOCK + 4] = np.inf
+        with pytest.raises(DataError, match=f"column 1, row {2 * _COPY_BLOCK + 4} is inf"):
+            PredictorMatrix(block)
+        with pytest.raises(DataError, match=f"column 1, row {2 * _COPY_BLOCK + 4} is inf"):
+            PredictorMatrix.from_rows(block.T.copy())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(1, 3 * _COPY_BLOCK + 1),
+            st.sampled_from([_COPY_BLOCK - 1, _COPY_BLOCK, _COPY_BLOCK + 1]),
+        ),
+        p=st.integers(1, 12),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]),
+        layout=st.sampled_from(["C", "F", "every_other_row", "reversed_columns", "list"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_copy_matches_a_plain_transposing_copy(self, n, p, dtype, layout, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 * n if layout == "every_other_row" else n, p)
+        if dtype is np.bool_:
+            rows = rng.random(shape) < 0.5
+        elif dtype is np.int64:
+            # past 2**53 the cast to float64 rounds
+            rows = rng.integers(-(2**62), 2**62, size=shape)
+        else:
+            rows = rng.standard_normal(shape).astype(dtype)
+        rows = {
+            "C": rows,
+            "F": np.asfortranarray(rows),
+            "every_other_row": rows[::2],
+            "reversed_columns": rows[:, ::-1],
+            "list": rows,
+        }[layout]
+        expect = np.array(rows.T, dtype=np.float64, order="C")
+        if layout == "list":
+            built = [PredictorMatrix.from_rows(rows.tolist()), PredictorMatrix(rows.T.tolist())]
+        else:
+            built = [PredictorMatrix.from_rows(rows), PredictorMatrix(rows.T)]
+        for X in built:
+            assert X.columns.dtype == np.float64
+            assert X.columns.tobytes() == expect.tobytes()
+            assert X.columns.flags.c_contiguous and not X.columns.flags.writeable
+            assert not np.shares_memory(X.columns, rows)
 
     def test_flag_shape_checked(self):
         with pytest.raises(DataError):

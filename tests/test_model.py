@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import walk_tree
-from xbart.data import PredictorMatrix
+from xbart.data import _COPY_BLOCK, PredictorMatrix
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import ForestSampler, Hyperparams, SweepDraw
 from xbart.model import FittedModel, fit, load_model
@@ -112,6 +112,52 @@ class TestPrediction:
         model = fit(X, y, Hyperparams(n_trees=2, n_sweeps=4, burnin=2), seed=7)
         assert model.sigma2_draws().tolist() == [d.sigma2 for d in model.draws]
         assert [d.sweep for d in model.draws] == [3, 4]
+
+
+class TestPredictInput:
+    """Bare arrays given to `predict` pass through `PredictorMatrix`'s copy."""
+
+    N = 2 * _COPY_BLOCK + 37  # the last block is partial
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        X, y = _toy(n=120, p=4, seed=12)
+        X[:, 3] = 1.0  # one value, no cutpoint: no tree splits on column 3
+        model = fit(X, y, Hyperparams(n_trees=4, n_sweeps=3, burnin=1), seed=2)
+        assert all(3 not in t.var for d in model.draws for t in d.trees)
+        return model
+
+    def _batch(self):
+        return np.random.default_rng(13).normal(size=(self.N, 4))
+
+    @pytest.mark.parametrize("method", ["predict", "predict_draws"])
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ([(_COPY_BLOCK + 3, 3, np.nan)], f"column 3, row {_COPY_BLOCK + 3} is nan"),
+            ([(N - 1, 1, np.inf)], f"column 1, row {N - 1} is inf"),
+            # the later row lies in the earlier column, which is named first
+            ([(2, 3, np.nan), (N - 2, 0, -np.inf)], f"column 0, row {N - 2} is -inf"),
+        ],
+    )
+    def test_non_finite_cell_is_named(self, model, method, cells, message):
+        X = self._batch()
+        for row, col, value in cells:
+            X[row, col] = value
+        with pytest.raises(DataError, match=f"^{message}; missing data"):
+            getattr(model, method)(X)
+
+    def test_draws_do_not_depend_on_layout_or_dtype(self, model):
+        X = self._batch()
+        expect = model.predict_draws(X)
+        doubled = np.repeat(X, 2, axis=0)
+        flipped = X[:, ::-1].copy()
+        for view in (np.asfortranarray(X), doubled[::2], flipped[:, ::-1]):
+            assert np.array_equal(model.predict_draws(view), expect)
+        single = X.astype(np.float32)
+        assert np.array_equal(
+            model.predict_draws(single), model.predict_draws(single.astype(np.float64))
+        )
 
 
 class TestFit:
