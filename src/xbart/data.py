@@ -1,10 +1,16 @@
 """Column-oriented training data and the presorted-index machinery.
 
 The tree sampler never re-sorts observations while a tree grows.  Each
-variable's observation order is computed once at the root (``presort``) and
-then partitioned into child orderings that stay sorted (``sift``).  A node's
-ordering is a plain integer array of shape ``(p, m)``: row ``v`` holds the
-node's row ids sorted by variable ``v``, ties broken by original row order.
+variable's observation order is computed once at the root (``presort``).  A
+node's ordering of a column is that root order with the rows outside the
+node left out: the node's row ids sorted by the column, ties broken by
+original row order.  Two ways produce it.  ``sift`` partitions a node's
+``(p, m)`` ordering of every column into its children's, which stay sorted,
+at O(p·m) per split.  ``node_orders`` filters the ``(k, m)`` orderings of
+just the ``k`` columns a node scores from the root order, at O(k·n) per
+node; a tree whose nodes score few of many columns takes that path, and its
+nodes carry only their row ids.  The grid and the scan take one ordering
+row per scored column either way.
 
 That order is unique for a column without repeated values, so ``presort``
 sorts such columns with numpy's fast default argsort; tied and categorical
@@ -39,6 +45,24 @@ CATEGORICAL = "categorical"
 _COPY_BLOCK = 512
 
 
+def _numeric(values) -> np.ndarray:
+    """``values`` as an array of a bool, integer or float dtype.
+
+    Strings, objects and mixed lists are parsed as a whole, so ``[True,
+    "1"]`` reads as two ones whatever the shape it arrives in.
+    """
+    try:
+        # checked first: the float cast would keep only the real part
+        if np.iscomplexobj(values):
+            raise DataError("predictors are complex; pass their real or imaginary part")
+        out = np.asarray(values)
+        if out.dtype.kind not in "biuf":
+            out = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"predictors are not numeric: {exc}") from None
+    return out
+
+
 class PredictorMatrix:
     """Numeric feature table stored column-major with per-column kind flags.
 
@@ -60,16 +84,7 @@ class PredictorMatrix:
     """
 
     def __init__(self, columns, categorical=None, names=None):
-        try:
-            # checked first: the float cast would keep only the real part
-            if np.iscomplexobj(columns):
-                raise DataError("predictors are complex; pass their real or imaginary part")
-            src = np.asarray(columns)
-            if src.dtype.kind not in "biuf":
-                # strings, objects and mixed lists parse as a whole
-                src = np.asarray(columns, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"predictors are not numeric: {exc}") from None
+        src = _numeric(columns)
         if src.ndim != 2:
             raise DataError(f"expected a 2-d column block, got ndim={src.ndim}")
         p, n = src.shape
@@ -116,7 +131,7 @@ class PredictorMatrix:
     @classmethod
     def from_rows(cls, X, categorical=None, names=None) -> "PredictorMatrix":
         """Build from the usual (n, p) row-major design matrix."""
-        X = np.asarray(X)
+        X = _numeric(X)
         if X.ndim == 1:
             X = X[:, None]
         return cls(X.T, categorical=categorical, names=names)
@@ -208,6 +223,26 @@ def sift(
     return left, right
 
 
+def node_orders(root_index: np.ndarray, rows: np.ndarray, variables: np.ndarray) -> np.ndarray:
+    """A node's sorted orders of the columns ``variables``, from the root's.
+
+    Returns a ``(k, m)`` integer array for the ``k`` entries of
+    ``variables`` and the node's ``m`` distinct row ids ``rows``: row ``i``
+    is ``root_index[variables[i]]`` with every row outside the node left
+    out, the same array that sifting the root index down to the node gives
+    in row ``variables[i]``.  One membership mask over all ``n`` rows is
+    gathered through the ``k`` root orders, and one ``compress`` keeps the
+    node's entries: O(k·n) whatever the node's size, against O(p·m) for
+    the ``sift`` that made the node.
+    """
+    member = np.zeros(root_index.shape[1], dtype=bool)
+    member[rows] = True
+    orders = root_index.take(variables, axis=0)
+    return np.compress(member.take(orders).ravel(), orders.ravel()).reshape(
+        len(variables), len(rows)
+    )
+
+
 @dataclass(frozen=True)
 class CutpointGrid:
     """Flat list of candidate cutpoints for one node.
@@ -237,14 +272,17 @@ def build_cutpoint_grid(
 ) -> CutpointGrid:
     """Assemble the adaptive cutpoint grid for one node of ``m`` rows.
 
-    Every scored column starts from a ladder of base ranks ``0, j, 2j, ...``
-    into its node ordering, ``count`` of them.  A continuous column in a node
-    with more than ``budget`` interior values (``m - 2 > budget``) is
-    strided: ``count = budget`` and ``j = (m - 2) // budget``.  Every other
-    column (all columns of a smaller node, and categorical columns always)
-    takes every rank ``0 .. m - 2``.  Each base rank moves to the end of its
-    tie run, and the distinct results inside
-    ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate ranks;
+    ``index`` holds one sorted node ordering per scored column: row ``i``
+    orders the node's rows by column ``variables[i]``, or by column ``i``
+    when every column is scored.  Every scored column starts from a ladder
+    of base ranks ``0, j, 2j, ...`` into its node ordering, ``count`` of
+    them.  A continuous column in a node with more than ``budget`` interior
+    values (``m - 2 > budget``) is strided: ``count = budget`` and ``j =
+    (m - 2) // budget``.  Every other column (all columns of a smaller node,
+    and categorical columns always) takes every rank ``0 .. m - 2``.  Each
+    base rank moves to the end of its tie run, and the distinct results
+    inside ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate
+    ranks;
     the node maximum never qualifies, so both children are non-empty.
     Candidates are grouped by column in the order of ``variables``, ranks
     ascending.
@@ -263,14 +301,20 @@ def build_cutpoint_grid(
     Raises
     ------
     DataError
-        If ``budget`` or ``min_node_size`` is below 1, or an entry of
-        ``variables`` repeats or lies outside ``0..p-1``.
+        If ``budget`` or ``min_node_size`` is below 1, an entry of
+        ``variables`` repeats or lies outside ``0..p-1``, or ``index`` does
+        not hold one row per scored column.
     """
     if budget < 1:
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
     if min_node_size < 1:
         raise DataError(f"min_node_size must be >= 1, got {min_node_size}")
     variables = np.arange(X.p) if variables is None else _checked_variables(variables, X.p)
+    if index.ndim != 2 or index.shape[0] != variables.size:
+        raise DataError(
+            f"node index has shape {index.shape}, "
+            f"expected one row for each of {variables.size} scored columns"
+        )
     m = index.shape[1]
     lo, hi = min_node_size - 1, m - 1 - min_node_size
     count, j = (budget, (m - 2) // budget) if m - 2 > budget else (m - 1, 1)
@@ -286,7 +330,7 @@ def build_cutpoint_grid(
         # a categorical column takes every rank even in a strided node
         counts = np.where(X.categorical[cols], m - 1, count)
         steps = np.where(X.categorical[cols], 1, j)
-        sv = X.columns.take(index[cols] + X.n * cols[:, None])
+        sv = X.columns.take(index[tied] + X.n * cols[:, None])
         run_end = np.ones(sv.shape, dtype=bool)
         np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
         row, end = np.divmod(np.flatnonzero(run_end), m)
@@ -302,7 +346,7 @@ def build_cutpoint_grid(
         keys = np.sort(merged) if keys.size and tied_keys.size else merged
     var_ids = variables[keys // m]
     ranks = keys % m
-    values = X.columns.take(var_ids * X.n + index.take(var_ids * m + ranks))
+    values = X.columns.take(var_ids * X.n + index.take(keys))
     return CutpointGrid(var_ids, ranks, values)
 
 

@@ -108,20 +108,24 @@ def scan_candidates(
     alpha: float,
     beta: float,
     total: float | None = None,
+    variables: np.ndarray | None = None,
 ) -> CandidateScores:
     """Score every grid candidate from one residual gather per node.
 
-    The grid must list its candidates grouped by column, ranks ascending
-    within each column and below ``m - 1``, as `build_cutpoint_grid` emits
-    them: the first candidate of each scored column is where
-    ``grid.var_ids`` changes.  The node's residuals are gathered once, in
-    each scored column's sorted order, into a ``(k, m)`` array for the
-    ``k`` scored columns.  One `np.add.reduceat` over that gather sums the
-    residuals between consecutive candidates of each column, and a prefix
-    sum over those few segments per column gives every candidate's
-    left-child sum (ranks ``0..rank``); nothing beyond the gather grows
-    with ``k * m``.  Right-child statistics are the complement against the
-    node totals.
+    ``index`` and ``variables`` are the node orderings and scored columns
+    the grid was built from: row ``i`` of ``index`` orders the node's ``m``
+    rows by column ``variables[i]``, or by column ``i`` when every column is
+    scored.  The grid must list its candidates grouped by column in that
+    order, ranks ascending within each column and below ``m - 1``, as
+    `build_cutpoint_grid` emits them: the first candidate of each column is
+    where ``grid.var_ids`` changes.  The node's residuals are gathered once
+    through ``index`` into a ``(k, m)`` array for the ``k`` scored columns.
+    One `np.add.reduceat` over that gather sums the residuals between
+    consecutive candidates of each column, and a prefix sum over those few
+    segments per column gives every candidate's left-child sum (ranks
+    ``0..rank``); nothing beyond the gather grows with ``k * m``.
+    Right-child statistics are the complement against the node totals,
+    ``total`` or else the residuals summed in the order of ``index[0]``.
     """
     if len(grid) == 0:
         raise DataError("scan_candidates needs at least one candidate")
@@ -132,22 +136,24 @@ def scan_candidates(
     n_cand = ranks.size
     new_col = np.concatenate(([True], var_ids[1:] != var_ids[:-1]))
     starts = np.flatnonzero(new_col)
-    cols = var_ids[starts]
-    k = cols.size
-    if k == index.shape[0] and np.array_equal(cols, np.arange(k)):
-        gathered = residuals.take(index)
-    else:
-        gathered = residuals.take(index.take(cols, axis=0))
-    # position of each candidate's column among the scored ones
+    k = starts.size
+    # the index row of each column that has candidates
+    at_row = var_ids[starts]
+    if variables is not None:
+        row_of = np.empty(X.p, dtype=np.intp)
+        row_of[variables] = np.arange(len(variables))
+        at_row = row_of[at_row]
+    gathered = residuals.take(index)
+    # position of each candidate's column among those with candidates
     row = np.cumsum(new_col) - 1
-    # segment bounds: each column's first row, then one past every candidate
-    # rank; the segment after a column's last candidate runs to the next
-    # column and is dropped
+    # segment bounds: each column's first entry, then one past every
+    # candidate rank; the segment after a column's last candidate runs to
+    # the next column and is dropped
     col_pos = np.arange(k)
     at_cand = np.arange(n_cand) + row + 1
     bounds = np.empty(n_cand + k, dtype=np.intp)
-    bounds[starts + col_pos] = col_pos * m
-    bounds[at_cand] = row * m + ranks + 1
+    bounds[starts + col_pos] = at_row * m
+    bounds[at_cand] = at_row[row] * m + ranks + 1
     segments = np.add.reduceat(gathered.ravel(), bounds).take(at_cand - 1)
     # prefix sums within each column, over a (k, most candidates) block
     slot = np.arange(n_cand) - starts[row]

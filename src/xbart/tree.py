@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import PredictorMatrix, build_cutpoint_grid, sift
+from .data import PredictorMatrix, build_cutpoint_grid, node_orders, sift
 from .errors import DataError, ModelFormatError
 from .splitting import sample_cutpoint, scan_candidates
 
@@ -34,6 +34,11 @@ if TYPE_CHECKING:
     from .forest import Hyperparams
 
 _LEAF = -1
+
+# The nodes of a tree that scores params.mtry drawn columns filter those
+# columns' orders from the root order when p >= _FILTER_RATIO * mtry, and
+# sift all p columns otherwise (crossover measured in BENCH_subset.json).
+_FILTER_RATIO = 4
 
 
 class Tree:
@@ -214,10 +219,21 @@ def grow_tree(
     *,
     fitted_out: np.ndarray,
 ) -> Tree:
-    """Grow one tree from the root over the rows listed in ``index``.
+    """Grow one tree from the root over all rows of ``X``.
+
+    A node scores the cutpoint grid of its scored columns, which needs the
+    node's rows sorted by each of them.  When ``var_weights`` is given and
+    ``params.mtry`` is at most a quarter of the ``p`` columns, a node holds
+    only its row ids, in the order of the root's column 0, and
+    `node_orders` filters the drawn columns' orders from the root index
+    (O(mtry·n) per node); a split divides the row ids with one compare.
+    Every other tree sifts each node's ``(p, m)`` index into its children's
+    (O(p·m) per split).  Both paths give the same orders, sums and draws.
 
     Parameters
     ----------
+    index : ndarray, shape (p, n)
+        The root's sorted orders, `presort` of ``X``.
     residuals : ndarray over all n rows
         Partial residuals this tree should fit, indexed by row id.
     params : Hyperparams
@@ -227,8 +243,8 @@ def grow_tree(
         When given, each node scores ``params.mtry`` columns drawn from it
         without replacement; ``None`` scores every column.
     fitted_out : length-n array
-        Filled in place with the grown tree's fitted value for every row of
-        the node (cheaper than re-evaluating the tree afterwards).
+        Filled in place with the grown tree's fitted value for every row
+        (cheaper than re-evaluating the tree afterwards).
 
     Returns the grown tree with all leaf means sampled.
     """
@@ -236,29 +252,33 @@ def grow_tree(
         raise DataError(f"noise variance must be positive and finite, got {sigma2}")
     if not 0.0 <= tau < math.inf:
         raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
+    filtering = var_weights is not None and _FILTER_RATIO * params.mtry <= X.p
     var_l: list[int] = []
     value_l: list[float] = []
-    # (presorted node index, depth); the left child is pushed last so it is
-    # grown first, which keeps the nodes in pre-order
-    stack = [(index, 0)]
+    # (node, depth), where a node is its row ids in column-0 order when
+    # filtering and its (p, m) sorted index otherwise; the left child is
+    # pushed last so it is grown first, which keeps the nodes in pre-order
+    stack = [(index[0] if filtering else index, 0)]
     while stack:
-        node_index, depth = stack.pop()
-        m = node_index.shape[1]
-        total = float(residuals[node_index[0]].sum())
+        node, depth = stack.pop()
+        rows = node if filtering else node[0]
+        m = rows.size
+        total = float(residuals[rows].sum())
         choice = None
         if depth < params.max_depth - 1 and m >= max(2, 2 * params.min_node_size):
-            chosen = None
+            chosen, orders = None, node
             if var_weights is not None:
                 chosen = np.sort(
                     rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
                 )
+                orders = node_orders(index, rows, chosen) if filtering else node[chosen]
             grid = build_cutpoint_grid(
-                X, node_index, params.n_cutpoints, params.min_node_size, variables=chosen
+                X, orders, params.n_cutpoints, params.min_node_size, variables=chosen
             )
             if len(grid):
                 scores = scan_candidates(
                     X,
-                    node_index,
+                    orders,
                     residuals,
                     grid,
                     sigma2,
@@ -267,17 +287,22 @@ def grow_tree(
                     params.alpha,
                     params.beta,
                     total=total,
+                    variables=chosen,
                 )
                 choice = sample_cutpoint(scores, rng)
         if choice is None:
             mu = sample_leaf_value(total, m, sigma2, tau, rng)
             var_l.append(_LEAF)
             value_l.append(mu)
-            fitted_out[node_index[0]] = mu
+            fitted_out[rows] = mu
             continue
         var_l.append(choice.var)
         value_l.append(choice.value)
-        left_index, right_index = sift(X, node_index, choice.var, choice.value)
-        stack.append((right_index, depth + 1))
-        stack.append((left_index, depth + 1))
+        if filtering:
+            goes_left = X.columns[choice.var].take(rows) <= choice.value
+            left, right = rows.compress(goes_left), rows.compress(~goes_left)
+        else:
+            left, right = sift(X, node, choice.var, choice.value)
+        stack.append((right, depth + 1))
+        stack.append((left, depth + 1))
     return Tree(var_l, value_l)

@@ -73,16 +73,18 @@ def naive_candidate_scores(X_cols, node_ids, residuals, grid, sigma2, tau, score
 def reference_grid(X, index, budget, min_node_size=1, variables=None) -> CutpointGrid:
     """The cutpoint grid built column by column from its documented rule.
 
-    Strided base ranks ``0, j, 2j, ...`` (``budget`` of them, ``j = (m - 2)
-    // budget``) for continuous columns when ``m - 2 > budget``, every rank
-    ``0 .. m - 2`` otherwise; each base rank walks forward to the end of its
-    tie run, and the distinct run ends inside ``[min_node_size - 1, m - 1 -
+    Row ``i`` of ``index`` is the node's order of column ``variables[i]``,
+    or of column ``i`` when ``variables`` is None.  Strided base ranks ``0,
+    j, 2j, ...`` (``budget`` of them, ``j = (m - 2) // budget``) for
+    continuous columns when ``m - 2 > budget``, every rank ``0 .. m - 2``
+    otherwise; each base rank walks forward to the end of its tie run, and
+    the distinct run ends inside ``[min_node_size - 1, m - 1 -
     min_node_size]`` are the candidates, in column order.
     """
     m = index.shape[1]
     var_ids, ranks, values = [], [], []
-    for v in range(X.p) if variables is None else variables:
-        sorted_vals = X.columns[v, index[v]]
+    for i, v in enumerate(range(X.p) if variables is None else variables):
+        sorted_vals = X.columns[v, index[i]]
         if m - 2 > budget and not X.categorical[v]:
             base = [k * ((m - 2) // budget) for k in range(budget)]
         else:

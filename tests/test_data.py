@@ -10,6 +10,7 @@ from xbart.data import (
     _COPY_BLOCK,
     PredictorMatrix,
     build_cutpoint_grid,
+    node_orders,
     presort,
     read_csv_dataset,
     read_csv_features,
@@ -149,6 +150,42 @@ class TestSift:
         assert right[1].tolist() == root[1][13:].tolist()
 
 
+class TestNodeOrders:
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_matches_the_sifted_index_rows(self, data):
+        kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=6))
+        n = data.draw(st.integers(2, 60))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = PredictorMatrix(
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
+        )
+        root = presort(X)
+        block = root
+        # the root, then every node reached by up to four sifts
+        for go_left in [None] + data.draw(st.lists(st.booleans(), max_size=4)):
+            if go_left is not None:
+                var = data.draw(st.integers(0, X.p - 1))
+                values = np.unique(X.columns[var, block[var]])
+                if values.size < 2:
+                    break
+                cut = data.draw(st.sampled_from(values[:-1].tolist()))
+                block = sift(X, block, var, cut)[0 if go_left else 1]
+            chosen = data.draw(st.sets(st.integers(0, X.p - 1)))
+            variables = np.array(sorted(chosen), dtype=np.intp)
+            got = node_orders(root, block[0], variables)
+            assert got.dtype == block.dtype
+            assert got.tobytes() == block[variables].tobytes()
+            assert got.shape == (variables.size, block.shape[1])
+
+    def test_rows_in_any_order_give_the_same_orders(self):
+        X = PredictorMatrix([[3.0, 1.0, 2.0, 1.0, 0.0]])
+        root = presort(X)
+        for rows in ([1, 2, 3], [3, 1, 2], [2, 3, 1]):
+            assert node_orders(root, np.array(rows), np.array([0])).tolist() == [[1, 3, 2]]
+
+
 def assert_same_grid(got, want):
     for name in ("var_ids", "ranks", "values"):
         a, b = getattr(got, name), getattr(want, name)
@@ -183,9 +220,10 @@ class TestCutpointGrid:
         if data.draw(st.booleans()):
             order = data.draw(st.permutations(range(X.p)))
             variables = np.array(order[: data.draw(st.integers(0, X.p))], dtype=int)
+        orders = index if variables is None else index[variables]
         assert_same_grid(
-            build_cutpoint_grid(X, index, budget, min_node_size, variables),
-            reference_grid(X, index, budget, min_node_size, variables),
+            build_cutpoint_grid(X, orders, budget, min_node_size, variables),
+            reference_grid(X, orders, budget, min_node_size, variables),
         )
 
     def test_stride_formula_large_node(self):
@@ -263,18 +301,29 @@ class TestCutpointGrid:
         rng = np.random.default_rng(2)
         X = PredictorMatrix(rng.normal(size=(4, 60)))
         grid = build_cutpoint_grid(
-            X, presort(X), budget=10, variables=np.array([1, 3])
+            X, presort(X)[[1, 3]], budget=10, variables=np.array([1, 3])
         )
         assert set(grid.var_ids.tolist()) <= {1, 3}
 
     def test_variable_subset_may_be_a_list_or_empty(self):
         X = PredictorMatrix(np.random.default_rng(2).normal(size=(4, 60)))
-        index = presort(X)
+        index = presort(X)[[3, 1]]
         from_list = build_cutpoint_grid(X, index, budget=10, variables=[3, 1])
         from_array = build_cutpoint_grid(X, index, budget=10, variables=np.array([3, 1]))
         assert from_list.var_ids.tolist() == from_array.var_ids.tolist()
         assert from_list.values.tolist() == from_array.values.tolist()
-        assert len(build_cutpoint_grid(X, index, budget=10, variables=[])) == 0
+        assert len(build_cutpoint_grid(X, index[:0], budget=10, variables=[])) == 0
+
+    @pytest.mark.parametrize(
+        "rows, variables",
+        [([0, 1, 2], [0, 2]), ([0, 1], None), ([0, 1, 2], None)],
+        ids=["more_rows_than_scored", "fewer_rows_than_columns", "all_rows_one_missing"],
+    )
+    def test_index_without_one_row_per_scored_column_rejected(self, rows, variables):
+        # a full index with a subset would read column 0's order for column 2
+        X = PredictorMatrix(np.random.default_rng(4).normal(size=(4, 40)))
+        with pytest.raises(DataError, match="one row for each of"):
+            build_cutpoint_grid(X, presort(X)[rows], budget=10, variables=variables)
 
     @pytest.mark.parametrize(
         "variables, message",
@@ -376,6 +425,22 @@ class TestPredictorMatrix:
             PredictorMatrix([["a", "b"]])
         with pytest.raises(DataError, match="predictors are not numeric"):
             PredictorMatrix.from_rows([["1.5", "x"]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[True, "1"]],
+            [[True, "1"], [0, "2.5"]],
+            [[1, "-0.0", False]],
+            [["3"], [np.float32(1.5)], [True]],
+        ],
+        ids=["bool_and_string", "two_rows", "signed_zero_string", "one_column"],
+    )
+    def test_from_rows_parses_mixed_lists_like_the_constructor(self, rows):
+        by_rows = PredictorMatrix.from_rows(rows)
+        by_columns = PredictorMatrix([list(col) for col in zip(*rows)])
+        assert by_rows.columns.tobytes() == by_columns.columns.tobytes()
+        assert by_rows.columns.tolist() == np.array(rows, dtype=np.float64).T.tolist()
 
     def test_complex_predictors_rejected(self):
         with pytest.raises(DataError, match="predictors are complex"):

@@ -187,9 +187,10 @@ class TestScan:
             variables = np.array(sorted(chosen))
         elif order == "permutation":
             variables = np.array(data.draw(st.permutations(range(X.p))))
+        orders = index if variables is None else index[variables]
         grid = build_cutpoint_grid(
             X,
-            index,
+            orders,
             budget=data.draw(st.integers(1, 50)),
             min_node_size=data.draw(st.integers(1, 3)),
             variables=variables,
@@ -198,8 +199,8 @@ class TestScan:
             return
         resid = rng.normal(size=m) * 10.0 ** data.draw(st.integers(-3, 3))
         scores = scan_candidates(
-            X, index, resid, grid, sigma2=0.9, tau=0.4, depth=1,
-            alpha=0.95, beta=1.25,
+            X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
+            alpha=0.95, beta=1.25, variables=variables,
         )
         expect = naive_candidate_scores(
             cols,
@@ -219,10 +220,11 @@ class TestScan:
         X = PredictorMatrix(cols)
         index = presort(X)
         resid = rng.normal(size=25)
-        grid = build_cutpoint_grid(X, index, budget=6, variables=np.array([1, 3]))
+        variables = np.array([1, 3])
+        grid = build_cutpoint_grid(X, index[variables], budget=6, variables=variables)
         scores = scan_candidates(
-            X, index, resid, grid, sigma2=1.0, tau=1.0, depth=0,
-            alpha=0.95, beta=1.25,
+            X, index[variables], resid, grid, sigma2=1.0, tau=1.0, depth=0,
+            alpha=0.95, beta=1.25, variables=variables,
         )
         expect = naive_candidate_scores(
             cols,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import COLUMN_KINDS, tree_depth, walk_tree
+from xbart import tree as tree_module
 from xbart.data import PredictorMatrix, presort
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import Hyperparams
@@ -277,6 +278,35 @@ class TestGrow:
         )
         assert set(tree.var[tree.var >= 0].tolist()) <= {2}
         assert tree.n_leaves > 1
+
+    @pytest.mark.parametrize("p, mtry", [(8, 2), (8, 3), (12, 3), (6, 5)])
+    def test_filtered_and_sifted_nodes_grow_the_same_tree(self, monkeypatch, p, mtry):
+        # tie-free, tied and categorical columns; both paths are forced,
+        # whichever the module constant would pick
+        rng = np.random.default_rng(p * 10 + mtry)
+        n = 300
+        kinds = (sorted(COLUMN_KINDS) * p)[:p]
+        X = PredictorMatrix(
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
+        )
+        resid = X.columns[0] - 0.5 * X.columns[1] + rng.normal(size=n)
+        weights = rng.dirichlet(np.ones(p))
+        params = _params(mtry=mtry, n_cutpoints=20)
+        grown = []
+        for ratio in (1, p + 1):  # filter every subset, then sift every node
+            monkeypatch.setattr(tree_module, "_FILTER_RATIO", ratio)
+            fitted = np.full(n, np.nan)
+            tree = _grow(
+                X, resid, seed=5, sigma2=0.3, params=params, var_weights=weights,
+                fitted_out=fitted,
+            )
+            grown.append((tree, fitted))
+        (a, fa), (b, fb) = grown
+        assert a.n_nodes > 5 and not np.isnan(fa).any()
+        assert a.var.tobytes() == b.var.tobytes()
+        assert a.value.tobytes() == b.value.tobytes()
+        assert fa.tobytes() == fb.tobytes()
 
     def test_bad_variances_rejected(self):
         X = PredictorMatrix([[0.0, 1.0]])
