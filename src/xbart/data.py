@@ -56,11 +56,19 @@ def _numeric(values) -> np.ndarray:
         if np.iscomplexobj(values):
             raise DataError("predictors are complex; pass their real or imaginary part")
         out = np.asarray(values)
-        if out.dtype.kind not in "biuf":
+        # floats wider than float64 are cast here, so that a value which
+        # overflows to inf in the float64 copy is seen by its finite check
+        if out.dtype.kind not in "biuf" or out.dtype.itemsize > 8:
             out = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DataError(f"predictors are not numeric: {exc}") from None
     return out
+
+
+def as_rows(X) -> np.ndarray:
+    """``X`` as a numeric ``(n, p)`` array of rows; a 1-d array is one column."""
+    X = _numeric(X)
+    return X[:, None] if X.ndim == 1 else X
 
 
 class PredictorMatrix:
@@ -72,18 +80,23 @@ class PredictorMatrix:
         One row per variable.  Stored as a read-only contiguous float64 copy,
         so per-variable gathers in the sampler hot path touch contiguous
         memory and facts derived from the values cannot go stale.  The copy
-        is made a block of rows at a time, with each block cast and checked
-        for finite values as it is written: one read and one write of the
+        is made a block of rows at a time, with each block checked for finite
+        values and then cast as it is written: one read and one write of the
         data, and no full-size temporary for float32, integer or bool input.
-    categorical : sequence of p bools or 0/1 ints, optional
+    categorical : sequence of bools or 0/1 ints, one per stored column, optional
         Marks columns whose distinct values are treated as unordered levels
         for cutpoint-grid purposes.  Stored as a read-only copy.  Default: all
         continuous.
-    names : sequence of str, optional
+    names : sequence of str, one per stored column, optional
         Column names, kept for CSV round-trips and error messages.
+    keep : sorted column ids, optional
+        Store only these rows of ``columns``; ``FittedModel.predict`` passes
+        the columns its trees split on.  Every column is still checked for
+        finite values, and a cell at fault is named by its place in
+        ``columns``.  Default: store every column.
     """
 
-    def __init__(self, columns, categorical=None, names=None):
+    def __init__(self, columns, categorical=None, names=None, keep=None):
         src = _numeric(columns)
         if src.ndim != 2:
             raise DataError(f"expected a 2-d column block, got ndim={src.ndim}")
@@ -91,20 +104,21 @@ class PredictorMatrix:
         if n < 1 or p < 1:
             raise DataError(f"need at least one row and one column, got n={n}, p={p}")
         # Copied _COPY_BLOCK rows at a time: a block of row-major input is one
-        # contiguous read whose p column pieces stay cached until written, and
-        # each block is checked for finite values while it is still cached.
-        cols = np.empty((p, n), dtype=np.float64)
+        # contiguous read whose p column pieces stay cached while the block is
+        # checked for finite values and its kept columns are written.
+        cols = np.empty((p if keep is None else len(keep), n), dtype=np.float64)
         finite = True
         for lo in range(0, n, _COPY_BLOCK):
-            block = cols[:, lo : lo + _COPY_BLOCK]
-            block[...] = src[:, lo : lo + _COPY_BLOCK]
-            finite = finite and np.isfinite(block).all()
+            part = src[:, lo : lo + _COPY_BLOCK]
+            finite = finite and np.isfinite(part).all()
+            cols[:, lo : lo + _COPY_BLOCK] = part if keep is None else part[keep]
         if not finite:
-            var, row = np.argwhere(~np.isfinite(cols))[0]
+            var, row = np.argwhere(~np.isfinite(src))[0]
             raise DataError(
-                f"column {var}, row {row} is {cols[var, row]}; "
+                f"column {var}, row {row} is {src[var, row]}; "
                 "missing data must be handled before ingestion"
             )
+        p = cols.shape[0]
         flags = np.array(
             np.zeros(p, dtype=bool) if categorical is None else categorical, dtype=object
         )
@@ -129,12 +143,12 @@ class PredictorMatrix:
         self._tie_free: np.ndarray | None = None
 
     @classmethod
-    def from_rows(cls, X, categorical=None, names=None) -> "PredictorMatrix":
-        """Build from the usual (n, p) row-major design matrix."""
-        X = _numeric(X)
-        if X.ndim == 1:
-            X = X[:, None]
-        return cls(X.T, categorical=categorical, names=names)
+    def from_rows(cls, X, categorical=None, names=None, keep=None) -> "PredictorMatrix":
+        """Build from the usual (n, p) row-major design matrix.
+
+        ``keep`` stores only those columns, as in the constructor.
+        """
+        return cls(as_rows(X).T, categorical=categorical, names=names, keep=keep)
 
     @property
     def n(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .data import PredictorMatrix
+from .data import PredictorMatrix, as_rows
 from .errors import ConfigError, DataError, ModelFormatError
 from .forest import ForestSampler, Hyperparams, SweepDraw
 from .tree import Tree, parse_finite
@@ -37,35 +37,58 @@ class FittedModel:
     feature_names: list[str] | None
     draws: list[SweepDraw]
 
-    def _check_features(self, X) -> PredictorMatrix:
-        if not isinstance(X, PredictorMatrix):
-            # node codes read no categorical flags, so the default ones let
-            # the width check below report a block of the wrong width
-            X = PredictorMatrix.from_rows(X)
-        if X.p != self.n_features:
+    def _check_features(self, p: int, names=None) -> None:
+        if p != self.n_features:
+            raise DataError(f"model was fitted on {self.n_features} columns, got {p}")
+        if names and self.feature_names and names != self.feature_names:
+            j = next(j for j, (a, b) in enumerate(zip(names, self.feature_names)) if a != b)
             raise DataError(
-                f"model was fitted on {self.n_features} columns, got {X.p}"
+                f"column {j} is named {names[j]!r}, model expects {self.feature_names[j]!r}"
             )
-        if X.names and self.feature_names and X.names != self.feature_names:
-            j = next(j for j, (a, b) in enumerate(zip(X.names, self.feature_names)) if a != b)
-            raise DataError(
-                f"column {j} is named {X.names[j]!r}, model expects {self.feature_names[j]!r}"
-            )
-        return X
+
+    def _split_block(
+        self, X, trees: list[list[Tree]]
+    ) -> tuple[PredictorMatrix, list[list[Tree]]]:
+        """A bare batch's block of split columns, and ``trees`` relabelled to it.
+
+        The width is checked first.  Every cell of ``X`` is then checked for
+        finite values, but only the columns that some tree splits on are
+        copied, and each tree's split variables are renumbered to rows of
+        that block; a leaf's -1 reads the map's last entry, which is -1 too.
+        When every column is split, the block is the full copy and the trees
+        are returned as they are.
+        """
+        X = as_rows(X)
+        if X.ndim == 2:
+            self._check_features(X.shape[1])
+        split = np.unique(np.concatenate([t.var for ts in trees for t in ts]))
+        split = split[split >= 0]
+        if split.size == self.n_features:
+            return PredictorMatrix.from_rows(X), trees
+        row_of = np.full(self.n_features + 1, -1, dtype=np.int32)
+        row_of[split] = np.arange(split.size)
+        trees = [[Tree(row_of[t.var], t.value) for t in ts] for ts in trees]
+        return PredictorMatrix.from_rows(X, keep=split), trees
 
     def predict_draws(self, X) -> np.ndarray:
         """Per-draw predictions, shape ``(n_rows, n_retained_draws)``.
 
         Column ``k`` is the centering constant plus the sum of tree
-        evaluations of retained snapshot ``k``.
+        evaluations of retained snapshot ``k``.  A `PredictorMatrix` is used
+        as it is; a bare ``(n, p)`` batch is checked in full, but only its
+        split columns are copied.
         """
-        X = self._check_features(X)
         if not self.draws:
             raise ModelFormatError("model holds no retained draws")
-        out = np.empty((X.n, len(self.draws)))
-        for k, draw in enumerate(self.draws):
+        trees = [d.trees for d in self.draws]
+        if isinstance(X, PredictorMatrix):
+            self._check_features(X.p, X.names)
+        else:
+            X, trees = self._split_block(X, trees)
+        out = np.empty((X.n, len(trees)))
+        for k, draw in enumerate(trees):
             acc = np.full(X.n, self.y_offset)
-            for tree in draw.trees:
+            for tree in draw:
                 acc += tree.predict(X)
             out[:, k] = acc
         return out

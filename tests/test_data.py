@@ -404,6 +404,40 @@ class TestPredictorMatrix:
             assert X.columns.flags.c_contiguous and not X.columns.flags.writeable
             assert not np.shares_memory(X.columns, rows)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2 * _COPY_BLOCK + 1),
+        p=st.integers(1, 12),
+        dtype=st.sampled_from([np.float64, np.float32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_columns_are_rows_of_the_full_copy(self, n, p, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = (100 * rng.standard_normal((n, p))).astype(dtype)
+        keep = np.sort(rng.choice(p, size=rng.integers(0, p + 1), replace=False))
+        X = PredictorMatrix.from_rows(rows, keep=keep)
+        assert (X.n, X.p) == (n, keep.size)
+        full = PredictorMatrix.from_rows(rows).columns
+        assert X.columns.tobytes() == full[keep].tobytes()
+        assert X.columns.flags.c_contiguous and not X.columns.flags.writeable
+        # a column that is not kept is still checked, and named by its place
+        if dtype is not np.int64 and keep.size < p:
+            row, col = rng.integers(n), rng.choice(np.setdiff1d(np.arange(p), keep))
+            rows[row, col] = np.inf
+            with pytest.raises(DataError, match=f"^column {col}, row {row} is inf"):
+                PredictorMatrix.from_rows(rows, keep=keep)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+        reason="long double is float64 here",
+    )
+    @pytest.mark.parametrize("keep", [None, [1], []])
+    def test_long_double_overflow_is_reported(self, keep):
+        rows = np.ones((3, 2), dtype=np.longdouble)
+        rows[2, 1] = np.longdouble("1e400")  # finite, but inf as a float64
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="column 1, row 2 is inf"):
+            PredictorMatrix.from_rows(rows, keep=keep)
+
     def test_flag_shape_checked(self):
         with pytest.raises(DataError):
             PredictorMatrix([[1.0, 2.0]], categorical=[True, False])

@@ -1,6 +1,7 @@
 """Tests for fitting, posterior-mean prediction, and the JSON model format."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,91 @@ class TestPredictInput:
         assert np.array_equal(
             model.predict_draws(single), model.predict_draws(single.astype(np.float64))
         )
+
+    def test_split_columns_give_the_draws_of_the_full_copy(self, model):
+        X = self._batch()
+        doubled = np.repeat(X, 2, axis=0)
+        flipped = X[:, ::-1].copy()
+        layouts = (X, np.asfortranarray(X), doubled[::2], flipped[:, ::-1], X.astype(np.float32))
+        for view in layouts:
+            full = model.predict_draws(PredictorMatrix.from_rows(view))
+            assert np.array_equal(model.predict_draws(view), full)
+        # column 3 is never split on, so its values cannot reach the draws
+        other = X.copy()
+        other[:, 3] = 1e6 * np.random.default_rng(14).normal(size=self.N)
+        assert np.array_equal(model.predict_draws(other), model.predict_draws(X))
+
+    def test_bare_batch_copies_only_the_split_columns(self):
+        rng = np.random.default_rng(15)
+        X = rng.normal(size=(300, 40))
+        X[:, 3:] = 1.0  # one value, no cutpoint: trees split on columns 0-2 only
+        y = X[:, 0] - X[:, 1] + rng.normal(size=300)
+        model = fit(X, y, Hyperparams(n_trees=5, n_sweeps=3, burnin=1), seed=3)
+        batch = rng.normal(size=(20_000, 40))
+        tracemalloc.start()
+        try:
+            model.predict_draws(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch.nbytes / 2
+
+
+class TestSplitColumnBlock:
+    """Hand-built models that split on few of the batch's columns, or none."""
+
+    N = _COPY_BLOCK + 37  # the last block is partial
+
+    def _batch(self, p):
+        return np.random.default_rng(16).normal(size=(self.N, p))
+
+    def _assert_walks(self, draws, X):
+        model = _manual_model(
+            [SweepDraw(k + 1, trees, 1.0, 1.0) for k, trees in enumerate(draws)],
+            y_offset=0.5,
+            n_features=X.shape[1],
+        )
+        got = model.predict_draws(X)
+        for k, trees in enumerate(draws):
+            for i, row in enumerate(X):
+                expect = model.y_offset
+                for t in trees:
+                    expect += walk_tree(t, row)
+                assert got[i, k] == expect
+
+    def test_only_the_last_column_is_split(self):
+        # a leaf's -1 must not read the row map's entry for column p - 1
+        draws = [
+            [Tree([3, -1, 3, -1, -1], [0.0, -1.0, 1.0, 2.0, 3.0]), Tree.single_leaf(0.25)],
+            [Tree([3, 3, -1, -1, -1], [0.5, -0.5, 4.0, 5.0, 6.0]), Tree.single_leaf(-0.75)],
+        ]
+        self._assert_walks(draws, self._batch(4))
+
+    def test_only_the_first_column_is_split(self):
+        draws = [
+            [
+                Tree([0, -1, -1], [0.1, 1.5, -2.5]),
+                Tree([0, 0, -1, -1, -1], [0.3, -0.2, 7.0, 8.0, 9.0]),
+            ],
+        ]
+        self._assert_walks(draws, self._batch(4))
+
+    def test_no_column_is_split(self):
+        draws = [[Tree.single_leaf(1.0), Tree.single_leaf(-0.5)], [Tree.single_leaf(2.0)] * 2]
+        X = self._batch(3)
+        self._assert_walks(draws, X)
+        # no column is copied, but every cell is still checked
+        X[5, 2] = np.nan
+        model = _manual_model([SweepDraw(1, draws[0], 1.0, 1.0)], n_features=3)
+        with pytest.raises(DataError, match="^column 2, row 5 is nan"):
+            model.predict_draws(X)
+
+    def test_width_reported_before_a_non_finite_cell(self):
+        model = _manual_model([SweepDraw(1, [Tree([0, -1, -1], [0.0, 1.0, 2.0])], 1.0, 1.0)])
+        X = np.zeros((6, 5))
+        X[0, 0] = np.nan
+        with pytest.raises(DataError, match="model was fitted on 2 columns, got 5$"):
+            model.predict_draws(X)
 
 
 class TestFit:
