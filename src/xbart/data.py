@@ -1,31 +1,40 @@
 """Column-oriented training data and the presorted-index machinery.
 
-The tree sampler never re-sorts observations while a tree grows.  Each
-variable's observation order is computed once at the root (``presort``).  A
-node's ordering of a column is that root order with the rows outside the
-node left out: the node's row ids sorted by the column, ties broken by
-original row order.  Two ways produce it.  ``sift`` partitions a node's
-``(p, m)`` ordering of every column into its children's, which stay sorted,
-at O(p·m) per split.  ``node_orders`` filters the ``(k, m)`` orderings of
-just the ``k`` columns a node scores from the root order, at O(k·n) per
-node; a tree whose nodes score few of many columns takes that path, and its
-nodes carry only their row ids.  The grid and the scan take one ordering
-row per scored column either way.
+The tree sampler never re-sorts observations while a tree grows.  Columns
+come in two kinds (`LevelCodes`).  A *counted* column has ties and few
+distinct values: every row gets an integer level code once per fit, and a
+node summarises the column by counting its rows' codes.  Every other column
+is *sorted*: its observation order is computed once at the root
+(``presort``), and a node's ordering of it is that root order with the rows
+outside the node left out: the node's row ids sorted by the column, ties
+broken by original row order.
 
-That order is unique for a column without repeated values, so ``presort``
-sorts such columns with numpy's fast default argsort; tied and categorical
-columns are stable-sorted through the small-integer dense ranks of their
+A node's *stack* holds its rows in column-0 order, then its orderings of
+the sorted columns after column 0; counted columns need none.  Two ways
+produce it.  ``sift`` partitions a node's ``(s, m)`` stack into its
+children's, which stay sorted, at O(s·m) per split.  ``node_orders``
+filters the ``(k, m)`` orderings of just the ``k`` sorted columns a node
+scores from the root stack, at O(k·n) per node; a tree whose nodes score
+few of many columns takes that path, and its nodes carry only their row
+ids.  The grid and the scan take one ordering row per scored sorted column
+either way (`stack_rows`).
+
+A tie-free column's order is unique, so ``presort`` sorts it with numpy's
+fast default argsort; a tied sorted column, and column 0 when it is
+counted, is stable-sorted through the small-integer dense ranks of its
 values, which numpy radix-sorts.  Both give the one stable order.
 
-Cutpoint candidates are expressed as *ranks* into that ordering: candidate
-rank ``h`` for variable ``v`` means the left child takes sorted positions
-``0..h`` inclusive.  Ranks always point at the end of a tie run, so the
-partition produced by ``sift`` is identical to evaluating ``x[v] <= cut`` —
-ties at the cut go left.  A node's grid starts every column from a ladder of
-evenly spaced base ranks; every tie-free column is continuous, so all of them
-share one ladder and keep its ranks, while the tied and categorical columns
-(each with its own ladder) have their values gathered in one block and their
-base ranks moved to run ends in one pass.
+Cutpoint candidates are expressed as *ranks* into a column's node ordering:
+candidate rank ``h`` for variable ``v`` means the left child takes sorted
+positions ``0..h`` inclusive.  Ranks always point at the end of a tie run,
+so the partition produced by ``sift`` is identical to evaluating ``x[v] <=
+cut`` — ties at the cut go left.  A node's grid starts every column from a
+ladder of evenly spaced base ranks; every tie-free column is continuous, so
+all of them share one ladder and keep its ranks, while the other sorted
+columns (each with its own ladder) have their values gathered in one block
+and their base ranks moved to run ends in one pass.  A counted column's run
+ends are its levels' cumulative counts at the node, from one `np.bincount`
+over all counted columns, so it needs no ordering to give the same ranks.
 """
 
 from __future__ import annotations
@@ -43,6 +52,10 @@ CATEGORICAL = "categorical"
 
 # Rows per block of PredictorMatrix's transposing copy (BENCH_ingest.json).
 _COPY_BLOCK = 512
+
+# A column with ties and at most this many distinct values is counted at each
+# node instead of sorted (crossover measured in BENCH_levels.json).
+_COUNT_LEVELS = 1024
 
 
 def _numeric(values) -> np.ndarray:
@@ -141,6 +154,9 @@ class PredictorMatrix:
         self.categorical = categorical
         self.names = names
         self._tie_free: np.ndarray | None = None
+        self._ranks: dict | None = None
+        self._counted: np.ndarray | None = None
+        self._levels: LevelCodes | None = None
 
     @classmethod
     def from_rows(cls, X, categorical=None, names=None, keep=None) -> "PredictorMatrix":
@@ -177,83 +193,234 @@ class PredictorMatrix:
             self._tie_free = out
         return self._tie_free
 
+    def dense_ranks(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``{column: (levels, ranks)}`` for every column with ties.
+
+        ``levels`` are the column's distinct values, ascending, with signed
+        zeros as one, and ``ranks`` each row's position among them in the
+        narrowest unsigned type, from one ``np.unique`` per column that
+        `tie_free_columns` does not mark.  `presort` sorts the ranks and
+        `level_codes` builds on them.  Computed on the first call; later
+        calls return the same dict.
+        """
+        if self._ranks is None:
+            self._ranks = {}
+            for j in np.flatnonzero(~self.tie_free_columns()):
+                levels, ranks = np.unique(self.columns[j], return_inverse=True)
+                ranks = ranks.astype(np.min_scalar_type(levels.size - 1))
+                levels.flags.writeable = ranks.flags.writeable = False
+                self._ranks[int(j)] = levels, ranks
+        return self._ranks
+
+    def counted_columns(self) -> np.ndarray:
+        """Read-only boolean mask of the columns counted at each node.
+
+        These are the columns with ties and at most ``_COUNT_LEVELS``
+        distinct values (see `LevelCodes`).  Computed on the first call;
+        later calls return the same array.
+        """
+        if self._counted is None:
+            out = np.zeros(self.p, dtype=bool)
+            for j, (levels, _) in self.dense_ranks().items():
+                out[j] = levels.size <= _COUNT_LEVELS
+            out.flags.writeable = False
+            self._counted = out
+        return self._counted
+
+    def level_codes(self) -> LevelCodes:
+        """The level codes of the counted columns; see `LevelCodes`.
+
+        Computed on the first call, from `dense_ranks`; later calls return
+        the same object.
+        """
+        if self._levels is None:
+            self._levels = _level_codes(self)
+        return self._levels
+
     def __repr__(self) -> str:
         n_cat = int(self.categorical.sum())
         return f"PredictorMatrix(n={self.n}, p={self.p}, categorical={n_cat})"
 
 
-def presort(X: PredictorMatrix) -> np.ndarray:
-    """Sort row ids by each variable, stably, for the root node.
+@dataclass(frozen=True)
+class LevelCodes:
+    """Integer level codes of the columns that are counted at each node.
 
-    Returns an ``(p, n)`` integer array; row ``v`` is ``argsort`` of column
-    ``v`` with ties in original row order, the same array as
+    A column is *counted* when it has ties (`PredictorMatrix.tie_free_columns`
+    does not mark it) and at most ``_COUNT_LEVELS`` distinct values; signed
+    zeros are one value.  Every other column is *sorted*: a node holds its
+    rows in that column's order.  A counted column needs no order, because
+    per-level counts over a node's rows give the ends of its tie runs.
+
+    Slot ``s`` holds the ``s``-th counted column, ``columns[s]``, in
+    ``width`` bins: bin ``s * width`` stays empty and bin ``s * width + 1 +
+    k`` holds the column's ``k``-th smallest value, ``values`` of that bin.
+    ``codes[s, r]`` is the bin of row ``r``'s value, so one `np.bincount`
+    over the codes of a node's rows counts the levels of every counted
+    column at once, and a prefix sum over a slot's bins gives each level's
+    cumulative count.  ``slot[v]`` is the slot of column ``v``, -1 for a
+    sorted column; ``sorted_columns`` lists the sorted columns, and
+    ``categorical_bins`` marks the bins of categorical slots (None when no
+    counted column is categorical).
+
+    Signed zeros are one level, and ``values`` keeps one of them.  For each
+    column that holds both, ``zero_rows`` lists the rows of its zero level
+    in ascending order, one block per such column starting at
+    ``zero_starts``; ``zero_columns`` and ``zero_bins`` hold each block's
+    column and zero bin.
+
+    A node stack holds one order per row: row 0 lists the node's rows in
+    column-0 order, and the next rows order them by each sorted column other
+    than column 0, ascending.  ``stack_row[v]`` is the row of column ``v``
+    (0 for column 0, -1 for another counted column).
+    """
+
+    counted: np.ndarray
+    columns: np.ndarray
+    sorted_columns: np.ndarray
+    slot: np.ndarray
+    width: int
+    categorical_bins: np.ndarray | None
+    codes: np.ndarray
+    values: np.ndarray
+    zero_columns: np.ndarray
+    zero_bins: np.ndarray
+    zero_rows: np.ndarray
+    zero_starts: np.ndarray
+    stack_row: np.ndarray
+
+
+def _in_stack(counted: np.ndarray) -> np.ndarray:
+    """Boolean mask of the columns whose orders a node stack holds: column 0
+    and every column that ``counted`` does not mark."""
+    in_stack = ~counted
+    in_stack[0] = True
+    return in_stack
+
+
+def _level_codes(X: PredictorMatrix) -> LevelCodes:
+    counted = X.counted_columns()
+    columns = np.flatnonzero(counted)
+    found = [X.dense_ranks()[j] for j in columns]
+    width = 1 + max((levels.size for levels, _ in found), default=0)
+    first = np.arange(columns.size) * width + 1  # each slot's smallest level
+    codes = np.array([ranks for _, ranks in found], dtype=np.intp).reshape(columns.size, X.n)
+    codes += first[:, None]
+    values = np.zeros(columns.size * width)
+    for bin_, (levels, _) in zip(first, found):
+        values[bin_ : bin_ + levels.size] = levels
+    # the counted columns that hold both signed zeros, and their zero rows
+    block = X.columns[columns]
+    zero = block == 0.0
+    negative = np.signbit(block)
+    signed = np.flatnonzero((zero & negative).any(axis=1) & (zero & ~negative).any(axis=1))
+    owner, zero_rows = np.nonzero(zero[signed])
+    zero_starts = np.searchsorted(owner, np.arange(signed.size))
+    zero_bins = codes[signed, zero_rows[zero_starts]]
+    zero_columns = columns[signed]
+    in_stack = _in_stack(counted)
+    stack_row = np.where(in_stack, np.cumsum(in_stack) - 1, -1)
+    slot = np.where(counted, np.cumsum(counted) - 1, -1)
+    sorted_columns = np.flatnonzero(~counted)
+    categorical_bins = X.categorical[columns].repeat(width)
+    if not categorical_bins.any():
+        categorical_bins = None
+    arrays = (codes, values, zero_columns, zero_bins, zero_rows, zero_starts, stack_row)
+    for a in (columns, sorted_columns, slot) + arrays:
+        a.flags.writeable = False
+    return LevelCodes(counted, columns, sorted_columns, slot, width, categorical_bins, *arrays)
+
+
+def presort(X: PredictorMatrix) -> np.ndarray:
+    """The root's node stack: row ids sorted, stably, for the root node.
+
+    Returns an ``(s, n)`` integer array laid out as `LevelCodes` describes:
+    row 0 is the stable argsort of column 0, and the other rows are those of
+    the sorted columns after it, so with no counted column it is
     ``np.argsort(X.columns, axis=1, kind="stable")``.  A column that
     `X.tie_free_columns` marks has one sorted order only, so numpy's default
-    argsort (SIMD-vectorised where the CPU allows) returns exactly it.  Every
-    other column is replaced by the dense ranks of its distinct values, which
-    keep its order and its ties (signed zeros are one level), in the
-    narrowest unsigned type that holds them; numpy's stable sort radix-sorts
-    such keys up to 16 bits wide.
+    argsort (SIMD-vectorised where the CPU allows) returns exactly it.  A
+    tied column is sorted through its `X.dense_ranks`, which keep its order
+    and its ties (signed zeros are one level) in the narrowest unsigned type
+    that holds them; numpy's stable sort radix-sorts such keys up to 16 bits
+    wide.  The counted columns' codes are not built here but at the first
+    `X.level_codes` call.
     """
-    out = np.empty((X.p, X.n), dtype=np.intp)
-    for j, tie_free in enumerate(X.tie_free_columns()):
-        col = X.columns[j]
-        if tie_free:
-            out[j] = np.argsort(col)
+    tied = X.dense_ranks()
+    columns = np.flatnonzero(_in_stack(X.counted_columns()))
+    out = np.empty((columns.size, X.n), dtype=np.intp)
+    for i, j in enumerate(columns):
+        if j in tied:
+            out[i] = np.argsort(tied[j][1], kind="stable")
         else:
-            levels, ranks = np.unique(col, return_inverse=True)
-            out[j] = np.argsort(
-                ranks.astype(np.min_scalar_type(levels.size - 1)), kind="stable"
-            )
+            out[i] = np.argsort(X.columns[j])
     return out
+
+
+def stack_rows(X: PredictorMatrix, variables: np.ndarray | None = None) -> np.ndarray:
+    """The rows of a node stack that `build_cutpoint_grid` reads for ``variables``.
+
+    These are the stack rows of the scored sorted columns, in the order of
+    ``variables`` (default: all columns), or row 0 alone, which lists the
+    node's rows, when every scored column is counted.
+    """
+    levels = X.level_codes()
+    if not levels.columns.size:
+        return levels.sorted_columns if variables is None else np.asarray(variables)
+    counted = levels.counted if variables is None else levels.counted[variables]
+    rows = (levels.stack_row if variables is None else levels.stack_row[variables])[~counted]
+    return rows if rows.size or not counted.any() else np.zeros(1, dtype=np.intp)
 
 
 def sift(
     X: PredictorMatrix, index: np.ndarray, var: int, cut: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Partition a node's sorted index into left/right child indexes.
+    """Partition a stack of one node's orders into its children's stacks.
 
-    Rows with ``X[var] <= cut`` go left.  The flag of every entry of the
-    node's index is looked up once, and each child is one ``compress`` of
-    the flattened index; every row of the output stays sorted by its
-    variable with original-order ties, because selection preserves order.
+    Rows with ``X[var] <= cut`` go left.  ``index`` may be any ``(k, m)``
+    stack of orderings of the node's ``m`` rows, such as the node stack of
+    `LevelCodes`; ``var`` need not be one of its columns.  The flag of every
+    entry of the stack is looked up once, and each child is one
+    ``compress`` of the flattened stack; every row of the output keeps its
+    order, because selection preserves order.
 
     Raises
     ------
     DataError
-        If the cut sends every row to one side.  Degenerate splits are
-        rejected upstream by grid construction; reaching this is a bug.
+        If the cut sends every row to one side, counted on row 0.
+        Degenerate splits are rejected upstream by grid construction;
+        reaching this is a bug.
     """
-    p, m = index.shape
+    k, m = index.shape
     goes_left = (X.columns[var] <= cut).take(index).ravel()
-    n_left = int(np.count_nonzero(goes_left[var * m : (var + 1) * m]))
+    n_left = int(np.count_nonzero(goes_left[:m]))
     if n_left == 0 or n_left == m:
         raise DataError(
             f"cut {cut!r} on variable {var} does not split the node (m={m})"
         )
     flat = index.ravel()
-    left = np.compress(goes_left, flat).reshape(p, n_left)
-    right = np.compress(~goes_left, flat).reshape(p, m - n_left)
+    left = np.compress(goes_left, flat).reshape(k, n_left)
+    right = np.compress(~goes_left, flat).reshape(k, m - n_left)
     return left, right
 
 
-def node_orders(root_index: np.ndarray, rows: np.ndarray, variables: np.ndarray) -> np.ndarray:
-    """A node's sorted orders of the columns ``variables``, from the root's.
+def node_orders(root_index: np.ndarray, rows: np.ndarray, root_rows: np.ndarray) -> np.ndarray:
+    """A node's rows ``root_rows`` of its stack, from the root's stack.
 
     Returns a ``(k, m)`` integer array for the ``k`` entries of
-    ``variables`` and the node's ``m`` distinct row ids ``rows``: row ``i``
-    is ``root_index[variables[i]]`` with every row outside the node left
-    out, the same array that sifting the root index down to the node gives
-    in row ``variables[i]``.  One membership mask over all ``n`` rows is
+    ``root_rows`` and the node's ``m`` distinct row ids ``rows``: row ``i``
+    is ``root_index[root_rows[i]]`` with every row outside the node left
+    out, the same array that sifting the root stack down to the node gives
+    in row ``root_rows[i]``.  One membership mask over all ``n`` rows is
     gathered through the ``k`` root orders, and one ``compress`` keeps the
-    node's entries: O(k·n) whatever the node's size, against O(p·m) for
-    the ``sift`` that made the node.
+    node's entries: O(k·n) whatever the node's size, against O(s·m) for
+    the ``sift`` of a whole stack of ``s`` rows.
     """
     member = np.zeros(root_index.shape[1], dtype=bool)
     member[rows] = True
-    orders = root_index.take(variables, axis=0)
+    orders = root_index.take(root_rows, axis=0)
     return np.compress(member.take(orders).ravel(), orders.ravel()).reshape(
-        len(variables), len(rows)
+        len(root_rows), len(rows)
     )
 
 
@@ -267,11 +434,19 @@ class CutpointGrid:
     are grouped by column, ranks ascending within each column;
     `scan_candidates` relies on this grouping to find each column's first
     candidate without sorting.
+
+    When a scored column is counted, ``levels[i]`` is the bin of candidate
+    ``i``'s level in `LevelCodes.values`, or -1 for a candidate in a sorted
+    column, and ``codes`` holds the bins of the node's rows in each counted
+    column that was scored, one row per column; the scan sums residuals over
+    those bins.  Both are None when no scored column is counted.
     """
 
     var_ids: np.ndarray
     ranks: np.ndarray
     values: np.ndarray
+    levels: np.ndarray | None = None
+    codes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.var_ids.size
@@ -286,25 +461,31 @@ def build_cutpoint_grid(
 ) -> CutpointGrid:
     """Assemble the adaptive cutpoint grid for one node of ``m`` rows.
 
-    ``index`` holds one sorted node ordering per scored column: row ``i``
-    orders the node's rows by column ``variables[i]``, or by column ``i``
-    when every column is scored.  Every scored column starts from a ladder
-    of base ranks ``0, j, 2j, ...`` into its node ordering, ``count`` of
-    them.  A continuous column in a node with more than ``budget`` interior
-    values (``m - 2 > budget``) is strided: ``count = budget`` and ``j =
-    (m - 2) // budget``.  Every other column (all columns of a smaller node,
-    and categorical columns always) takes every rank ``0 .. m - 2``.  Each
-    base rank moves to the end of its tie run, and the distinct results
-    inside ``[min_node_size - 1, m - 1 - min_node_size]`` are the candidate
-    ranks;
-    the node maximum never qualifies, so both children are non-empty.
-    Candidates are grouped by column in the order of ``variables``, ranks
-    ascending.
+    ``index`` holds the rows of the node's stack that `stack_rows` names:
+    row ``i`` orders the node's rows by the ``i``-th scored sorted column
+    (see `LevelCodes`), in the order of ``variables``; when every scored
+    column is counted, its one row lists the node's rows.  Every scored
+    column starts from a ladder of base ranks ``0, j, 2j, ...`` into its
+    node ordering, ``count`` of them.  A continuous column in a node with
+    more than ``budget`` interior values (``m - 2 > budget``) is strided:
+    ``count = budget`` and ``j = (m - 2) // budget``.  Every other column
+    (all columns of a smaller node, and categorical columns always) takes
+    every rank ``0 .. m - 2``.  Each base rank moves to the end of its tie
+    run, and the distinct results inside ``[min_node_size - 1, m - 1 -
+    min_node_size]`` are the candidate ranks; the node maximum never
+    qualifies, so both children are non-empty.  Candidates are grouped by
+    column in the order of ``variables``, ranks ascending.
 
     The columns that `X.tie_free_columns` marks are continuous, so they all
     share the node's one ladder and keep its ranks without gathering their
-    values.  The values of all other scored columns are gathered at once,
-    and their run ends are found in one pass over that gather.
+    values.  The values of the other sorted columns are gathered at once,
+    and their run ends are found in one pass over that gather.  The levels
+    of all counted columns are counted with one `np.bincount` over the codes
+    of the node's rows (row 0 of ``index``); each level's cumulative count
+    is the end of its tie run, with no order needed.  Both give the same
+    candidates, and a counted candidate's value is its level's, taken from
+    the node's last row in the level when the column holds both signed
+    zeros, as the sorted order would.
 
     Parameters
     ----------
@@ -317,24 +498,66 @@ def build_cutpoint_grid(
     DataError
         If ``budget`` or ``min_node_size`` is below 1, an entry of
         ``variables`` repeats or lies outside ``0..p-1``, or ``index`` does
-        not hold one row per scored column.
+        not hold the rows that `stack_rows` names.
     """
     if budget < 1:
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
     if min_node_size < 1:
         raise DataError(f"min_node_size must be >= 1, got {min_node_size}")
-    variables = np.arange(X.p) if variables is None else _checked_variables(variables, X.p)
-    if index.ndim != 2 or index.shape[0] != variables.size:
+    levels = X.level_codes()
+    sorted_vars, counted_vars = levels.sorted_columns, levels.columns
+    if variables is not None:
+        sorted_vars = variables = _checked_variables(variables, X.p)
+        if counted_vars.size:
+            counted = levels.counted[variables]
+            sorted_vars, counted_vars = variables[~counted], variables[counted]
+    n_rows = sorted_vars.size or min(counted_vars.size, 1)
+    if index.ndim != 2 or index.shape[0] != n_rows:
         raise DataError(
-            f"node index has shape {index.shape}, "
-            f"expected one row for each of {variables.size} scored columns"
+            f"node index has shape {index.shape}, expected one row for each of "
+            f"{sorted_vars.size} scored sorted columns, or one listing the node's "
+            "rows when every scored column is counted"
         )
     m = index.shape[1]
     lo, hi = min_node_size - 1, m - 1 - min_node_size
     count, j = (budget, (m - 2) // budget) if m - 2 > budget else (m - 1, 1)
+    if not counted_vars.size:
+        return CutpointGrid(*_sorted_candidates(X, index, sorted_vars, count, j, lo, hi))
+    grid = _counted_candidates(
+        X, index[0], None if variables is None else counted_vars, count, j, lo, hi
+    )
+    if not sorted_vars.size:
+        return grid
+    var_ids, ranks, values = _sorted_candidates(X, index, sorted_vars, count, j, lo, hi)
+    # interleave both groups by position in variables, then rank
+    pos = np.arange(X.p)
+    if variables is not None:
+        pos[variables] = np.arange(variables.size)
+    order = np.argsort(
+        np.concatenate((pos[var_ids], pos[grid.var_ids])) * m
+        + np.concatenate((ranks, grid.ranks))
+    )
+    return CutpointGrid(
+        *(
+            np.concatenate(pair).take(order)
+            for pair in (
+                (var_ids, grid.var_ids),
+                (ranks, grid.ranks),
+                (values, grid.values),
+                (np.full(var_ids.size, -1), grid.levels),
+            )
+        ),
+        grid.codes,
+    )
+
+
+def _sorted_candidates(X, index, variables, count, j, lo, hi):
+    """``(var_ids, ranks, values)`` of the sorted columns ``variables``,
+    whose node orders are the rows of ``index``."""
+    m = index.shape[1]
     snap = ~X.tie_free_columns()[variables]
-    # candidate keys ``position in variables * m + rank``; the tie-free
-    # columns keep the in-range ranks of the one continuous ladder
+    # candidate keys ``row of index * m + rank``; the tie-free columns keep
+    # the in-range ranks of the one continuous ladder
     base = np.arange(count) * j
     kept = base[(base >= lo) & (base <= hi)]
     keys = (np.flatnonzero(~snap)[:, None] * m + kept).ravel()
@@ -359,9 +582,63 @@ def build_cutpoint_grid(
         merged = np.concatenate((keys, tied_keys))
         keys = np.sort(merged) if keys.size and tied_keys.size else merged
     var_ids = variables[keys // m]
-    ranks = keys % m
-    values = X.columns.take(var_ids * X.n + index.take(keys))
-    return CutpointGrid(var_ids, ranks, values)
+    return var_ids, keys % m, X.columns.take(var_ids * X.n + index.take(keys))
+
+
+def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
+    """The grid of the counted columns ``variables`` at the node of ``rows``;
+    ``None`` scores every counted column, in slot order."""
+    levels = X.level_codes()
+    m, width = rows.size, levels.width
+    if variables is None:
+        variables = levels.columns
+        codes = levels.codes.take(rows, axis=1)
+        tally = np.bincount(codes.ravel(), minlength=levels.values.size)
+        bins = None
+    else:
+        slots = levels.slot[variables]
+        codes = levels.codes.take((slots * X.n)[:, None] + rows)
+        # the scored slots' bins, in the order of variables
+        bins = ((slots * width)[:, None] + np.arange(width)).ravel()
+        tally = np.bincount(codes.ravel(), minlength=levels.values.size).take(bins)
+    # a slot's counts sum to m, so the running count over all bins, mod m,
+    # is one past the end of each level's tie run within its column; it is 0
+    # in each slot's empty first bin and from its last level on
+    ends = np.cumsum(tally) % m
+    held = ends
+    if count < m - 1:
+        # base ranks at or before each level's end; a categorical column
+        # takes every rank even in a strided node
+        held = np.minimum((ends - 1) // j + 1, count)
+        if bins is None:
+            cat = levels.categorical_bins
+        else:
+            cat = X.categorical[variables]
+            cat = cat.repeat(width) if cat.any() else None
+        if cat is not None:
+            held = np.where(cat, ends, held)
+    # a level is a candidate when it holds a base rank, so that the number
+    # at or before its end rises from the previous bin's
+    keep = held[1:] > held[:-1]
+    if lo:
+        keep &= (ends[1:] > lo) & (ends[1:] <= hi + 1)
+    at = np.flatnonzero(keep) + 1
+    ranks = ends.take(at) - 1
+    var_ids = variables.take(at // width)
+    if bins is not None:
+        at = bins.take(at)
+    table = levels.values
+    if levels.zero_rows.size:
+        # the sorted order ends a tie run with its highest row id, and the
+        # cut takes that row's zero, with its sign
+        member = np.zeros(X.n, dtype=bool)
+        member[rows] = True
+        hit = np.where(member.take(levels.zero_rows), levels.zero_rows, -1)
+        table = table.copy()
+        table[levels.zero_bins] = X.columns[
+            levels.zero_columns, np.maximum.reduceat(hit, levels.zero_starts)
+        ]
+    return CutpointGrid(var_ids, ranks, table.take(at), at, codes)
 
 
 def _checked_variables(variables, p: int) -> np.ndarray:

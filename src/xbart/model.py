@@ -10,6 +10,7 @@ bit-identically.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -200,13 +201,14 @@ def load_model(path) -> FittedModel:
             raise ModelFormatError(
                 f"feature_names is not a list of {n_features} strings: {feature_names!r}"
             )
+        y_offset = parse_finite(payload["y_offset"], "y_offset")
         draws: list[SweepDraw] = []
         for k, d in enumerate(payload["draws"]):
             after = draws[-1].sweep if draws else 0
-            draws.append(_load_draw(d, k, params, n_features, after))
+            draws.append(_load_draw(d, k, params, n_features, after, y_offset))
         model = FittedModel(
             params=params,
-            y_offset=parse_finite(payload["y_offset"], "y_offset"),
+            y_offset=y_offset,
             n_features=n_features,
             categorical=np.array(categorical, dtype=bool),
             feature_names=feature_names,
@@ -234,9 +236,15 @@ def _load_params(raw) -> Hyperparams:
         raise ModelFormatError(f"params.{exc}") from None
 
 
-def _load_draw(d: dict, k: int, params: Hyperparams, n_features: int, after: int) -> SweepDraw:
+def _load_draw(
+    d: dict, k: int, params: Hyperparams, n_features: int, after: int, y_offset: float
+) -> SweepDraw:
     """Stored draw ``k``, its tree count checked and its sweep number, which
-    must exceed the previous draw's (``after``) and not ``params.n_sweeps``."""
+    must exceed the previous draw's (``after``) and not ``params.n_sweeps``.
+
+    A prediction of the draw is ``y_offset`` plus one leaf of each tree, so
+    ``|y_offset|`` plus the trees' largest ``|leaf|`` must be finite.
+    """
     sweep, trees = d["sweep"], d["trees"]
     if type(sweep) is not int or not after < sweep <= params.n_sweeps:
         raise ModelFormatError(
@@ -247,9 +255,16 @@ def _load_draw(d: dict, k: int, params: Hyperparams, n_features: int, after: int
         raise ModelFormatError(
             f"draw {k} holds {len(trees)} trees, but params.n_trees is {params.n_trees}"
         )
+    largest: list[float] = []
+    trees = [Tree.from_records(t, n_features, largest) for t in trees]
+    if not math.isfinite(abs(y_offset) + sum(largest)):
+        raise ModelFormatError(
+            f"draw {k} can predict beyond float64: |y_offset| plus the largest "
+            "|leaf| of each of its trees overflows"
+        )
     return SweepDraw(
         sweep=sweep,
-        trees=[Tree.from_records(t, n_features) for t in trees],
+        trees=trees,
         sigma2=parse_finite(d["sigma2"], f"sigma2 of draw {k}"),
         tau=parse_finite(d["tau"], f"tau of draw {k}"),
     )

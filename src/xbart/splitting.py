@@ -110,38 +110,82 @@ def scan_candidates(
     total: float | None = None,
     variables: np.ndarray | None = None,
 ) -> CandidateScores:
-    """Score every grid candidate from one residual gather per node.
+    """Score every grid candidate from the node's residuals.
 
-    ``index`` and ``variables`` are the node orderings and scored columns
-    the grid was built from: row ``i`` of ``index`` orders the node's ``m``
-    rows by column ``variables[i]``, or by column ``i`` when every column is
-    scored.  The grid must list its candidates grouped by column in that
-    order, ranks ascending within each column and below ``m - 1``, as
+    ``index`` and ``variables`` are the rows of the node's stack and the
+    scored columns the grid was built from (see `build_cutpoint_grid`): row
+    ``i`` of ``index`` orders the node's ``m`` rows by the ``i``-th scored
+    sorted column, and row 0 lists them when every scored column is
+    counted.  The grid must list its candidates grouped by column in the
+    order of ``variables``, ranks ascending within each column and below
+    ``m - 1``, with the ``levels`` of its counted candidates, as
     `build_cutpoint_grid` emits them: the first candidate of each column is
-    where ``grid.var_ids`` changes.  The node's residuals are gathered once
-    through ``index`` into a ``(k, m)`` array for the ``k`` scored columns.
-    One `np.add.reduceat` over that gather sums the residuals between
+    where ``grid.var_ids`` changes.
+
+    A sorted column's left-child sums (ranks ``0..rank``) come from one
+    residual gather through ``index`` into a ``(k, m)`` array for its ``k``
+    rows: one `np.add.reduceat` over that gather sums the residuals between
     consecutive candidates of each column, and a prefix sum over those few
-    segments per column gives every candidate's left-child sum (ranks
-    ``0..rank``); nothing beyond the gather grows with ``k * m``.
-    Right-child statistics are the complement against the node totals,
-    ``total`` or else the residuals summed in the order of ``index[0]``.
+    segments per column gives every candidate's sum.  A counted column's
+    come from one weighted `np.bincount` of the node's residuals by level,
+    over all counted columns with candidates at once, and a prefix sum over
+    each column's levels; it sums in level order, so its last bits may
+    differ from the sorted path's.  Right-child statistics are the
+    complement against the node totals, ``total`` or else the residuals
+    summed in the order of ``index[0]``.
     """
     if len(grid) == 0:
         raise DataError("scan_candidates needs at least one candidate")
     m = index.shape[1]
     if total is None:
         total = float(residuals[index[0]].sum())
-    var_ids, ranks = grid.var_ids, grid.ranks
+    var_ids, ranks, levels = grid.var_ids, grid.ranks, grid.levels
+    n_cand = ranks.size
+    if levels is None:
+        s_left = _sorted_left_sums(X, index, residuals, var_ids, ranks, variables)
+    else:
+        counted = levels >= 0
+        if counted.all():
+            s_left = _counted_left_sums(X, index[0], residuals, grid, levels)
+        else:
+            s_left = np.empty(n_cand)
+            s_left[counted] = _counted_left_sums(X, index[0], residuals, grid, levels[counted])
+            s_left[~counted] = _sorted_left_sums(
+                X, index, residuals, var_ids[~counted], ranks[~counted], variables
+            )
+    n_left = ranks + 1
+    # the left children, the right children and the parent in one call
+    loglik = node_marginal_loglik(
+        np.concatenate((s_left, total - s_left, (total,))),
+        np.concatenate((n_left, m - n_left, (m,))),
+        sigma2,
+        tau,
+    )
+    no_split = no_split_log_weight(n_cand, depth, alpha, beta) + loglik[-1]
+    return CandidateScores(
+        grid=grid,
+        log_scores=loglik[:n_cand] + loglik[n_cand:-1],
+        no_split_log_score=no_split,
+        depth=depth,
+    )
+
+
+def _sorted_left_sums(X, index, residuals, var_ids, ranks, variables):
+    """Left-child sums of candidates in sorted columns, by segment sums."""
+    m = index.shape[1]
     n_cand = ranks.size
     new_col = np.concatenate(([True], var_ids[1:] != var_ids[:-1]))
     starts = np.flatnonzero(new_col)
     k = starts.size
     # the index row of each column that has candidates
     at_row = var_ids[starts]
-    if variables is not None:
+    levels = X.level_codes()
+    if variables is not None or levels.columns.size:
+        scored = levels.sorted_columns if variables is None else np.asarray(variables)
+        if variables is not None and levels.columns.size:
+            scored = scored[~levels.counted[scored]]
         row_of = np.empty(X.p, dtype=np.intp)
-        row_of[variables] = np.arange(len(variables))
+        row_of[scored] = np.arange(scored.size)
         at_row = row_of[at_row]
     gathered = residuals.take(index)
     # position of each candidate's column among those with candidates
@@ -160,22 +204,19 @@ def scan_candidates(
     block = np.zeros((k, int(slot.max()) + 1))
     block[row, slot] = segments
     np.cumsum(block, axis=1, out=block)
-    s_left = block[row, slot]
-    n_left = ranks + 1
-    # the left children, the right children and the parent in one call
-    loglik = node_marginal_loglik(
-        np.concatenate((s_left, total - s_left, (total,))),
-        np.concatenate((n_left, m - n_left, (m,))),
-        sigma2,
-        tau,
-    )
-    no_split = no_split_log_weight(n_cand, depth, alpha, beta) + loglik[-1]
-    return CandidateScores(
-        grid=grid,
-        log_scores=loglik[:n_cand] + loglik[n_cand:-1],
-        no_split_log_score=no_split,
-        depth=depth,
-    )
+    return block[row, slot]
+
+
+def _counted_left_sums(X, rows, residuals, grid, levels):
+    """Left-child sums of candidates at the bins ``levels`` of counted
+    columns: the node's residuals summed by bin over ``grid.codes``, then a
+    prefix sum over each column's bins."""
+    codes = X.level_codes()
+    weights = residuals.take(rows)[None].repeat(grid.codes.shape[0], axis=0)
+    sums = np.bincount(grid.codes.ravel(), weights.ravel(), minlength=codes.values.size)
+    by_level = sums.reshape(-1, codes.width)
+    np.cumsum(by_level, axis=1, out=by_level)
+    return sums.take(levels)
 
 
 def sample_cutpoint(

@@ -2,10 +2,10 @@
 
 A tree is grown from the root by repeatedly sampling a cutpoint from the
 softmax over marginal-likelihood scores (or stopping on the no-split
-option) and sifting the node's presorted index into children.  Nodes wait
-on an explicit stack, left subtree fully before the right, so a fixed
-generator seed fixes the tree exactly.  Leaves draw their mean from the
-conjugate normal posterior.
+option) and sifting the node's stack of presorted orders into children.
+Nodes wait on an explicit stack, left subtree fully before the right, so a
+fixed generator seed fixes the tree exactly.  Leaves draw their mean from
+the conjugate normal posterior.
 
 A tree is two arrays in pre-order: ``var`` is the split variable of a node,
 or -1 on a leaf, and ``value`` is the cut of a split and the mean of a leaf.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import PredictorMatrix, build_cutpoint_grid, node_orders, sift
+from .data import PredictorMatrix, build_cutpoint_grid, node_orders, sift, stack_rows
 from .errors import DataError, ModelFormatError
 from .splitting import sample_cutpoint, scan_candidates
 
@@ -111,17 +111,21 @@ class Tree:
         ]
 
     @classmethod
-    def from_records(cls, records: list, n_features: int) -> "Tree":
+    def from_records(
+        cls, records: list, n_features: int, largest_leaves: list | None = None
+    ) -> "Tree":
         """Rebuild a tree from its pre-order records, validating as it goes.
 
         Node ``i`` is record ``i``.  The records owe one node, the root; each
         record pays one and each split owes two more.  A record that arrives
         when none is owed trails the root subtree, and a debt left at the end
-        means the list was cut short.
+        means the list was cut short.  When ``largest_leaves`` is a list, the
+        tree's largest ``|leaf value|`` is appended to it.
         """
         if not isinstance(records, list) or not records:
             raise ModelFormatError("tree record list is empty or not a list")
         var, value = [], []
+        largest = 0.0
         owed = 1
         for pos, rec in enumerate(records):
             if not owed:
@@ -135,8 +139,11 @@ class Tree:
             if tag == "leaf":
                 if len(rec) != 2:
                     raise ModelFormatError(f"leaf record needs 1 value: {rec!r}")
+                leaf = _finite(rec[1], "leaf value", pos)
                 var.append(_LEAF)
-                value.append(_finite(rec[1], "leaf value", pos))
+                value.append(leaf)
+                if abs(leaf) > largest:
+                    largest = abs(leaf)
             elif tag == "split":
                 if len(rec) != 3:
                     raise ModelFormatError(f"split record needs var and cut: {rec!r}")
@@ -154,6 +161,8 @@ class Tree:
                 raise ModelFormatError(f"unknown tree record tag {tag!r}")
         if owed:
             raise ModelFormatError("tree records truncated mid-subtree")
+        if largest_leaves is not None:
+            largest_leaves.append(largest)
         return cls(var, value)
 
 
@@ -222,18 +231,20 @@ def grow_tree(
     """Grow one tree from the root over all rows of ``X``.
 
     A node scores the cutpoint grid of its scored columns, which needs the
-    node's rows sorted by each of them.  When ``var_weights`` is given and
+    node's rows sorted by each scored sorted column (see `LevelCodes`);
+    counted columns need only the rows.  When ``var_weights`` is given and
     ``params.mtry`` is at most a quarter of the ``p`` columns, a node holds
     only its row ids, in the order of the root's column 0, and
-    `node_orders` filters the drawn columns' orders from the root index
-    (O(mtry·n) per node); a split divides the row ids with one compare.
-    Every other tree sifts each node's ``(p, m)`` index into its children's
-    (O(p·m) per split).  Both paths give the same orders, sums and draws.
+    `node_orders` filters the drawn sorted columns' orders from the root
+    stack (O(mtry·n) per node); a split divides the row ids with one
+    compare.  Every other tree sifts each node's ``(s, m)`` stack into its
+    children's (O(s·m) per split).  Both paths give the same orders, sums
+    and draws; the leaf sums run over the rows in column-0 order either way.
 
     Parameters
     ----------
-    index : ndarray, shape (p, n)
-        The root's sorted orders, `presort` of ``X``.
+    index : ndarray, shape (s, n)
+        The root's stack, `presort` of ``X``.
     residuals : ndarray over all n rows
         Partial residuals this tree should fit, indexed by row id.
     params : Hyperparams
@@ -253,11 +264,13 @@ def grow_tree(
     if not 0.0 <= tau < math.inf:
         raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
     filtering = var_weights is not None and _FILTER_RATIO * params.mtry <= X.p
+    # the rows of a node stack that score every column: a view
+    every = slice(int(stack_rows(X)[0]), None)
     var_l: list[int] = []
     value_l: list[float] = []
     # (node, depth), where a node is its row ids in column-0 order when
-    # filtering and its (p, m) sorted index otherwise; the left child is
-    # pushed last so it is grown first, which keeps the nodes in pre-order
+    # filtering and its stack otherwise; the left child is pushed last so it
+    # is grown first, which keeps the nodes in pre-order
     stack = [(index[0] if filtering else index, 0)]
     while stack:
         node, depth = stack.pop()
@@ -266,12 +279,13 @@ def grow_tree(
         total = float(residuals[rows].sum())
         choice = None
         if depth < params.max_depth - 1 and m >= max(2, 2 * params.min_node_size):
-            chosen, orders = None, node
+            chosen, orders = None, None if filtering else node[every]
             if var_weights is not None:
                 chosen = np.sort(
                     rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
                 )
-                orders = node_orders(index, rows, chosen) if filtering else node[chosen]
+                wanted = stack_rows(X, chosen)
+                orders = node_orders(index, rows, wanted) if filtering else node[wanted]
             grid = build_cutpoint_grid(
                 X, orders, params.n_cutpoints, params.min_node_size, variables=chosen
             )

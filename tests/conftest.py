@@ -1,9 +1,13 @@
 """Shared test helpers: independent oracles the implementation never touches."""
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import settings
 from scipy import integrate
 
+from xbart import data as data_module
 from xbart.data import CutpointGrid
 from xbart.errors import DataError
 
@@ -17,6 +21,30 @@ COLUMN_KINDS = {
     "tied": lambda rng, n: rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
     "categorical": lambda rng, n: rng.integers(0, 4, size=n).astype(float),
 }
+
+
+@contextlib.contextmanager
+def count_levels(cutoff):
+    """Count the tied columns with at most ``cutoff`` levels; 0 sorts all.
+
+    A matrix reads the cut-off once, when `presort` or the grid first asks
+    for its counted columns, so that call belongs inside the block.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_COUNT_LEVELS", cutoff)
+        yield
+
+
+def stack_columns(X) -> np.ndarray:
+    """The column that each row of ``X``'s node stacks orders the rows by."""
+    return np.flatnonzero(X.level_codes().stack_row >= 0)
+
+
+def column_orders(X, rows) -> np.ndarray:
+    """Every column's order of the node ``rows``: a stable sort of the row
+    ids by value, ties (signed zeros included) in row-id order."""
+    rows = np.sort(np.asarray(rows))
+    return np.stack([rows[np.argsort(X.columns[v, rows], kind="stable")] for v in range(X.p)])
 
 
 def quad_node_loglik(y, sigma2: float, tau: float) -> float:

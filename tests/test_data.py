@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_KINDS, reference_grid
+from conftest import COLUMN_KINDS, column_orders, count_levels, reference_grid, stack_columns
 from xbart.data import (
     _COPY_BLOCK,
+    _COUNT_LEVELS,
     PredictorMatrix,
     build_cutpoint_grid,
     node_orders,
@@ -16,6 +17,7 @@ from xbart.data import (
     read_csv_features,
     read_schema,
     sift,
+    stack_rows,
 )
 from xbart.errors import DataError
 
@@ -49,42 +51,53 @@ class TestPresort:
     )
     @settings(max_examples=60)
     def test_matches_reference_sort(self, cols):
-        X = PredictorMatrix(np.array(cols, dtype=float))
-        index = presort(X)
-        for v in range(X.p):
-            assert index[v].tolist() == reference_order(cols[v])
+        # with the cut-off at 0 every column is sorted and has a row
+        for cutoff in (0, _COUNT_LEVELS):
+            with count_levels(cutoff):
+                X = PredictorMatrix(np.array(cols, dtype=float))
+                index = presort(X)
+            columns = stack_columns(X)
+            assert columns.size == (X.p if cutoff == 0 else index.shape[0])
+            for row, v in zip(index, columns):
+                assert row.tolist() == reference_order(cols[v])
 
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 5000])
     def test_matches_numpy_stable_sort_on_every_column_kind(self, n):
         rng = np.random.default_rng(n)
         kinds = sorted(COLUMN_KINDS)
-        X = PredictorMatrix(
-            [COLUMN_KINDS[k](rng, n) for k in kinds],
-            categorical=[k == "categorical" for k in kinds],
-        )
-        index = presort(X)
-        assert index.dtype == np.intp
-        np.testing.assert_array_equal(index, np.argsort(X.columns, axis=1, kind="stable"))
+        for cutoff in (0, _COUNT_LEVELS):
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [COLUMN_KINDS[k](rng, n) for k in kinds],
+                    categorical=[k == "categorical" for k in kinds],
+                )
+                index = presort(X)
+            assert index.dtype == np.intp
+            want = np.argsort(X.columns, axis=1, kind="stable")
+            if cutoff == 0:
+                np.testing.assert_array_equal(index, want)
+            np.testing.assert_array_equal(index, want[stack_columns(X)])
 
     def test_tied_column_with_more_levels_than_sixteen_bits(self):
         # ranks of more than 65,536 levels need 32 bits; the other columns
         # take the 8- and 16-bit casts
         rng = np.random.default_rng(1)
         n = 70_000
-        X = PredictorMatrix(
-            [
-                np.round(rng.normal(size=n) * 1e6),
-                np.round(rng.normal(size=n) * 1e3),
-                rng.integers(0, 4, size=n) * rng.choice([-0.0, 1.0], size=n),
-            ]
-        )
-        levels = [np.unique(col).size for col in X.columns]
+        cols = [
+            np.round(rng.normal(size=n) * 1e6),
+            np.round(rng.normal(size=n) * 1e3),
+            rng.integers(0, 4, size=n) * rng.choice([-0.0, 1.0], size=n),
+        ]
+        levels = [np.unique(col).size for col in cols]
         assert levels[0] > 65_536 and 256 < levels[1] < 65_536 and levels[2] <= 4
-        assert not X.tie_free_columns().any()
-        np.testing.assert_array_equal(
-            presort(X), np.argsort(X.columns, axis=1, kind="stable")
-        )
+        want = np.argsort(cols, axis=1, kind="stable")
+        # sorted, the last column takes the 8-bit cast; counted, it has no row
+        for cutoff, rows in ((0, [0, 1, 2]), (_COUNT_LEVELS, [0, 1])):
+            with count_levels(cutoff):
+                X = PredictorMatrix(cols)
+                np.testing.assert_array_equal(presort(X), want[rows])
+            assert not X.tie_free_columns().any()
 
     def test_one_tie_pair_keeps_original_order(self):
         rng = np.random.default_rng(2)
@@ -96,6 +109,69 @@ class TestPresort:
         np.testing.assert_array_equal(index, np.argsort(X.columns, axis=1, kind="stable"))
         run = np.flatnonzero(np.isin(index[0], [7, 40, 123]))
         assert index[0, run].tolist() == [7, 40, 123]
+
+
+    def test_counted_columns_other_than_column_0_have_no_row(self):
+        rng = np.random.default_rng(3)
+        n = 3000
+        X = PredictorMatrix(
+            [
+                rng.integers(0, 5, size=n),        # counted, but column 0
+                rng.normal(size=n),                 # tie-free
+                rng.integers(0, 3, size=n),         # categorical, counted
+                rng.integers(0, 100_000, size=n),   # tied with many levels
+                np.round(rng.normal(size=n), 1),   # tied, counted
+            ],
+            categorical=[False, False, True, False, False],
+        )
+        levels = X.level_codes()
+        assert levels.counted.tolist() == [True, False, True, False, True]
+        assert levels.stack_row.tolist() == [0, 1, -1, 2, -1]
+        want = np.argsort(X.columns, axis=1, kind="stable")
+        np.testing.assert_array_equal(presort(X), want[[0, 1, 3]])
+
+    def test_level_codes_name_every_row_value(self):
+        rng = np.random.default_rng(4)
+        n = 300
+        X = PredictorMatrix(
+            [
+                rng.normal(size=n),
+                rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
+                rng.integers(0, 4, size=n),
+            ],
+            categorical=[False, False, True],
+        )
+        levels = X.level_codes()
+        assert levels.columns.tolist() == [1, 2]
+        for s, v in enumerate(levels.columns):
+            bins = levels.codes[s]
+            assert np.all(bins // levels.width == s) and np.all(bins % levels.width > 0)
+            # equal values, signed zeros apart, and ascending levels
+            assert np.array_equal(levels.values[bins], X.columns[v])
+            present = np.unique(bins)
+            assert np.all(np.diff(levels.values[present]) > 0)
+        # column 1 holds both signed zeros; its zero rows ascend
+        assert levels.zero_columns.tolist() == [1]
+        zeros = np.flatnonzero(X.columns[1] == 0.0)
+        assert levels.zero_rows.tolist() == zeros.tolist()
+        assert levels.values[levels.zero_bins[0]] == 0.0
+
+
+class TestStackRows:
+    def test_rows_of_the_scored_sorted_columns(self):
+        rng = np.random.default_rng(6)
+        X = PredictorMatrix(
+            [rng.integers(0, 3, size=50), rng.normal(size=50), rng.normal(size=50)]
+        )
+        assert stack_rows(X).tolist() == [1, 2]
+        assert stack_rows(X, np.array([2, 0])).tolist() == [2]
+        # every scored column counted: row 0 lists the node's rows
+        assert stack_rows(X, np.array([0])).tolist() == [0]
+        assert stack_rows(X, np.array([], dtype=int)).tolist() == []
+        Y = PredictorMatrix([rng.normal(size=50), rng.integers(0, 3, size=50)])
+        assert stack_rows(Y).tolist() == [0]
+        assert stack_rows(Y, np.array([1])).tolist() == [0]
+        assert stack_rows(Y, np.array([1, 0])).tolist() == [0]
 
 
 class TestSift:
@@ -117,28 +193,39 @@ class TestSift:
     def test_random_node_matches_resort_oracle(self, data):
         kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=4))
         n = data.draw(st.integers(2, 60))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        X = PredictorMatrix(
-            [COLUMN_KINDS[k](rng, n) for k in kinds],
-            categorical=[k == "categorical" for k in kinds],
+        seed = data.draw(st.integers(0, 2**16))
+        steps = data.draw(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 60)),
+                min_size=1,
+                max_size=4,
+            )
         )
-        cols = X.columns
-        index = presort(X)
-        # sift up to four times, each node reached by the sifts before it
-        for go_left in data.draw(st.lists(st.booleans(), min_size=1, max_size=4)):
-            var = data.draw(st.integers(0, X.p - 1))
-            values = np.unique(cols[var, index[var]])
-            if values.size < 2:
-                break
-            # any tie-run value below the node maximum splits the node
-            cut = data.draw(st.sampled_from(values[:-1].tolist()))
-            left, right = sift(X, index, var, cut)
-            left_ids = [i for i in index[0].tolist() if cols[var, i] <= cut]
-            right_ids = [i for i in index[0].tolist() if cols[var, i] > cut]
-            for v in range(X.p):
-                assert left[v].tolist() == reference_order(cols[v], left_ids)
-                assert right[v].tolist() == reference_order(cols[v], right_ids)
-            index = left if go_left else right
+        # the cut-off at 0 stacks every column's order
+        for cutoff in (0, _COUNT_LEVELS):
+            rng = np.random.default_rng(seed)
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [COLUMN_KINDS[k](rng, n) for k in kinds],
+                    categorical=[k == "categorical" for k in kinds],
+                )
+                index = presort(X)
+            cols, columns = X.columns, stack_columns(X)
+            # sift up to four times, each node reached by the sifts before it
+            for go_left, var, pick in steps:
+                var %= X.p
+                values = np.unique(cols[var, index[0]])
+                if values.size < 2:
+                    break
+                # any tie-run value below the node maximum splits the node
+                cut = values[pick % (values.size - 1)]
+                left, right = sift(X, index, var, cut)
+                left_ids = [i for i in index[0].tolist() if cols[var, i] <= cut]
+                right_ids = [i for i in index[0].tolist() if cols[var, i] > cut]
+                for i, v in enumerate(columns):
+                    assert left[i].tolist() == reference_order(cols[v], left_ids)
+                    assert right[i].tolist() == reference_order(cols[v], right_ids)
+                index = left if go_left else right
 
     def test_split_variable_rows_are_prefix_suffix(self):
         rng = np.random.default_rng(5)
@@ -149,6 +236,18 @@ class TestSift:
         assert left[1].tolist() == root[1][:13].tolist()
         assert right[1].tolist() == root[1][13:].tolist()
 
+    def test_any_stack_of_the_node_is_split_and_checked_on_row_0(self):
+        # the split column need not be a row of the stack
+        X = PredictorMatrix([[3.0, 1.0, 2.0, 0.0], [0.5, 0.25, 0.75, 1.0]])
+        stack = presort(X)[1:]
+        left, right = sift(X, stack, 0, 1.0)
+        assert left.tolist() == [[1, 3]] and right.tolist() == [[0, 2]]
+        two = np.vstack([stack[0], stack[0][::-1]])
+        left, right = sift(X, two, 0, 1.0)
+        assert left.tolist() == [[1, 3], [3, 1]] and right.tolist() == [[0, 2], [2, 0]]
+        with pytest.raises(DataError, match="does not split the node"):
+            sift(X, stack, 0, 3.0)
+
 
 class TestNodeOrders:
     @given(data=st.data())
@@ -156,28 +255,36 @@ class TestNodeOrders:
     def test_matches_the_sifted_index_rows(self, data):
         kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=6))
         n = data.draw(st.integers(2, 60))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        X = PredictorMatrix(
-            [COLUMN_KINDS[k](rng, n) for k in kinds],
-            categorical=[k == "categorical" for k in kinds],
+        seed = data.draw(st.integers(0, 2**16))
+        steps = data.draw(
+            st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 60)), max_size=4)
         )
-        root = presort(X)
-        block = root
-        # the root, then every node reached by up to four sifts
-        for go_left in [None] + data.draw(st.lists(st.booleans(), max_size=4)):
-            if go_left is not None:
-                var = data.draw(st.integers(0, X.p - 1))
-                values = np.unique(X.columns[var, block[var]])
-                if values.size < 2:
-                    break
-                cut = data.draw(st.sampled_from(values[:-1].tolist()))
-                block = sift(X, block, var, cut)[0 if go_left else 1]
-            chosen = data.draw(st.sets(st.integers(0, X.p - 1)))
-            variables = np.array(sorted(chosen), dtype=np.intp)
-            got = node_orders(root, block[0], variables)
-            assert got.dtype == block.dtype
-            assert got.tobytes() == block[variables].tobytes()
-            assert got.shape == (variables.size, block.shape[1])
+        picks = data.draw(st.lists(st.sets(st.integers(0, 5)), min_size=5, max_size=5))
+        # the cut-off at 0 stacks every column's order
+        for cutoff in (0, _COUNT_LEVELS):
+            rng = np.random.default_rng(seed)
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [COLUMN_KINDS[k](rng, n) for k in kinds],
+                    categorical=[k == "categorical" for k in kinds],
+                )
+                root = presort(X)
+            block = root
+            # the root, then every node reached by up to four sifts
+            for step, chosen in zip([None] + steps, picks):
+                if step is not None:
+                    go_left, var, pick = step
+                    var %= X.p
+                    values = np.unique(X.columns[var, block[0]])
+                    if values.size < 2:
+                        break
+                    cut = values[pick % (values.size - 1)]
+                    block = sift(X, block, var, cut)[0 if go_left else 1]
+                rows = np.array(sorted({r % root.shape[0] for r in chosen}), dtype=np.intp)
+                got = node_orders(root, block[0], rows)
+                assert got.dtype == block.dtype
+                assert got.tobytes() == block[rows].tobytes()
+                assert got.shape == (rows.size, block.shape[1])
 
     def test_rows_in_any_order_give_the_same_orders(self):
         X = PredictorMatrix([[3.0, 1.0, 2.0, 1.0, 0.0]])
@@ -199,32 +306,132 @@ class TestCutpointGrid:
     def test_matches_per_column_reference(self, data):
         kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
         n = data.draw(st.integers(2, 60))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        X = PredictorMatrix(
-            [COLUMN_KINDS[k](rng, n) for k in kinds],
-            categorical=[k == "categorical" for k in kinds],
-        )
-        index = presort(X)
-        # descend to a child node through cuts the reference offers
-        for go_left in data.draw(st.lists(st.booleans(), max_size=3)):
-            cuts = reference_grid(X, index, budget=index.shape[1])
-            if not len(cuts):
-                break
-            i = data.draw(st.integers(0, len(cuts) - 1))
-            children = sift(X, index, int(cuts.var_ids[i]), float(cuts.values[i]))
-            index = children[0] if go_left else children[1]
-        m = index.shape[1]
-        budget = data.draw(st.integers(1, m + 3))
+        seed = data.draw(st.integers(0, 2**16))
+        steps = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=3))
+        budget_pick = data.draw(st.integers(0, 63))
         min_node_size = data.draw(st.integers(1, 4))
-        variables = None
-        if data.draw(st.booleans()):
-            order = data.draw(st.permutations(range(X.p)))
-            variables = np.array(order[: data.draw(st.integers(0, X.p))], dtype=int)
-        orders = index if variables is None else index[variables]
-        assert_same_grid(
-            build_cutpoint_grid(X, orders, budget, min_node_size, variables),
-            reference_grid(X, orders, budget, min_node_size, variables),
-        )
+        order = data.draw(st.permutations(range(len(kinds))))
+        n_scored = data.draw(st.none() | st.integers(0, len(kinds)))
+        variables = None if n_scored is None else np.array(order[:n_scored], dtype=int)
+        # the cut-off at 0 sorts every column; by default the tied and
+        # categorical ones are counted
+        for cutoff in (0, _COUNT_LEVELS):
+            rng = np.random.default_rng(seed)
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [COLUMN_KINDS[k](rng, n) for k in kinds],
+                    categorical=[k == "categorical" for k in kinds],
+                )
+                index = presort(X)
+            # descend to a child node through cuts the reference offers
+            for go_left, pick in steps:
+                orders = column_orders(X, index[0])
+                cuts = reference_grid(X, orders, budget=orders.shape[1])
+                if not len(cuts):
+                    break
+                i = pick % len(cuts)
+                children = sift(X, index, int(cuts.var_ids[i]), float(cuts.values[i]))
+                index = children[0] if go_left else children[1]
+            m = index.shape[1]
+            budget = 1 + budget_pick % (m + 3)
+            orders = column_orders(X, index[0])
+            assert_same_grid(
+                build_cutpoint_grid(
+                    X, index[stack_rows(X, variables)], budget, min_node_size, variables
+                ),
+                reference_grid(
+                    X, orders if variables is None else orders[variables],
+                    budget, min_node_size, variables,
+                ),
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_counted_grid_is_the_sorted_grid(self, data):
+        # "tied" holds 5 levels and both signed zeros, "categorical" 4: a
+        # cut-off of 4 counts the categorical column at exactly the cut-off
+        # and sorts the tied one, a level over it; 5 counts both
+        kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
+        n = data.draw(st.integers(2, 120))
+        seed = data.draw(st.integers(0, 2**16))
+        steps = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=3))
+        budget_pick = data.draw(st.integers(0, 127))
+        min_node_size = data.draw(st.integers(1, 4))
+        order = data.draw(st.permutations(range(len(kinds))))
+        n_scored = data.draw(st.none() | st.integers(0, len(kinds)))
+        variables = None if n_scored is None else np.array(order[:n_scored], dtype=int)
+        grids = []
+        for cutoff in (0, 4, 5, _COUNT_LEVELS):
+            rng = np.random.default_rng(seed)
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [COLUMN_KINDS[k](rng, n) for k in kinds],
+                    categorical=[k == "categorical" for k in kinds],
+                )
+                index = presort(X)
+            # the same descent in every layout, through cuts of the grid
+            # that sorts every column
+            for go_left, pick in steps:
+                orders = column_orders(X, index[0])
+                cuts = reference_grid(X, orders, budget=orders.shape[1])
+                if not len(cuts):
+                    break
+                i = pick % len(cuts)
+                index = sift(X, index, int(cuts.var_ids[i]), float(cuts.values[i]))[
+                    0 if go_left else 1
+                ]
+            budget = 1 + budget_pick % (index.shape[1] + 3)
+            grids.append(
+                build_cutpoint_grid(
+                    X, index[stack_rows(X, variables)], budget, min_node_size, variables
+                )
+            )
+        for grid in grids[1:]:
+            assert_same_grid(grid, grids[0])
+
+    def test_columns_with_the_cut_off_levels_are_counted(self):
+        # 7 and 8 levels against a cut-off of 7, in a strided node
+        rng = np.random.default_rng(12)
+        n = 500
+        cols = [
+            rng.integers(0, 7, size=n) - 3.0,
+            rng.integers(0, 8, size=n) / 4.0,
+            rng.normal(size=n),
+        ]
+        with count_levels(7):
+            X = PredictorMatrix(cols)
+            assert X.level_codes().counted.tolist() == [True, False, False]
+            counted = build_cutpoint_grid(X, presort(X)[stack_rows(X)], budget=30)
+        with count_levels(0):
+            Y = PredictorMatrix(cols)
+            assert not Y.level_codes().counted.any()
+            assert_same_grid(counted, build_cutpoint_grid(Y, presort(Y), budget=30))
+        # column 0's candidates are its levels' bins 1, 2, ...; the others -1
+        assert counted.levels.tolist()[:3] == [1, 2, 3]
+        assert (counted.levels[counted.var_ids > 0] == -1).all()
+
+    @pytest.mark.parametrize("last", [-0.0, 0.0])
+    @pytest.mark.parametrize("cutoff", [0, _COUNT_LEVELS])
+    def test_zero_cut_takes_the_sign_of_the_last_zero_row(self, last, cutoff):
+        # the node's zero rows, in row order, end with ``last``; the sorted
+        # order puts that row at the end of the zero run, and so does the
+        # counted column
+        cols = [
+            [1.0, -0.0, 0.0, -1.0, -0.0, 2.0, last, 0.0, 3.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+        ]
+        with count_levels(cutoff):
+            X = PredictorMatrix(cols)
+            root = presort(X)
+        assert X.level_codes().counted.tolist() == [cutoff > 0] * 2
+        node = sift(X, root, 1, 0.0)[0]  # rows 0 to 6
+        grid = build_cutpoint_grid(X, node[stack_rows(X, [0])], budget=10, variables=[0])
+        assert grid.values.tolist() == [-1.0, 0.0, 1.0]
+        assert np.signbit(grid.values[1]) == np.signbit(last)
+        # at the root, row 7's +0.0 ends the zero run
+        root_grid = build_cutpoint_grid(X, root[stack_rows(X)], budget=10)
+        assert root_grid.values.tolist() == [-1.0, 0.0, 1.0, 2.0, 0.0]
+        assert not np.signbit(root_grid.values[1])
 
     def test_stride_formula_large_node(self):
         # 1002 distinct values against a budget of 100: stride 10, ranks 0,10,...,990

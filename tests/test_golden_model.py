@@ -7,9 +7,14 @@ than a quarter of them, so its nodes sift every column;
 ``seeded_model_subset.json`` scores 2 of 10 columns, so after the first
 sweep its nodes filter their drawn columns from the root order;
 ``seeded_model_all_columns.json`` scores every column (``mtry == p``), the
-default path, on which no variable subset is drawn.  A change that alters
-how the random generator is consumed, or the order of any floating-point
-sum, changes the files: such a change regenerates them with
+default path, on which no variable subset is drawn.  Their tied and
+categorical columns are counted at each node, and the counted scan sums the
+residuals in level order rather than in sorted order; the candidate scores
+then differ in their last bits, yet the files stayed byte-identical, as
+they must.  The leaf sums, which reach the file directly, still run over
+the rows in column-0 order.  A change that alters how the random generator
+is consumed, or the order of a floating-point sum that reaches the file,
+changes the files: such a change regenerates them with
 ``PYTHONPATH=src python tests/test_golden_model.py`` and says so in
 CHANGES.md.  The files also pin numpy's generator streams.
 """

@@ -459,6 +459,24 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match=field):
             load_model(self._edited(tmp_path, edit))
 
+    @pytest.mark.parametrize("leaf", [1e308, -1e308])
+    def test_leaves_whose_sum_overflows_rejected_at_load(self, tmp_path, leaf):
+        # every leaf is finite, but a prediction of draw 1 sums to inf
+        def edit(payload):
+            payload["draws"][1]["trees"] = [[["leaf", leaf]]] * len(payload["draws"][1]["trees"])
+
+        with pytest.raises(ModelFormatError, match="draw 1 can predict beyond float64"):
+            load_model(self._edited(tmp_path, edit))
+
+    def test_large_cuts_and_one_large_leaf_load(self, tmp_path):
+        # only leaves add up: a huge cut is fine, and so is one huge leaf
+        def edit(payload):
+            payload["draws"][0]["trees"][0] = [["split", 0, 1e308], ["leaf", 1e308], ["leaf", 0.0]]
+            payload["draws"][0]["trees"][1] = [["split", 1, -1e308], ["leaf", 0.0], ["leaf", 0.0]]
+
+        model = load_model(self._edited(tmp_path, edit))
+        assert model.draws[0].trees[0].value.tolist() == [1e308, 1e308, 0.0]
+
     def test_deep_tree_records_load_without_recursion(self, tmp_path):
         depth = 3000
         chain = [["split", 0, 0.0]] * depth + [["leaf", 1.0]] * (depth + 1)

@@ -8,12 +8,20 @@ from scipy import stats
 
 from conftest import (
     COLUMN_KINDS,
+    count_levels,
     empirical_split_criterion,
     naive_candidate_scores,
     quad_node_loglik,
     theoretical_split_criterion,
 )
-from xbart.data import CutpointGrid, PredictorMatrix, build_cutpoint_grid, presort
+from xbart.data import (
+    _COUNT_LEVELS,
+    CutpointGrid,
+    PredictorMatrix,
+    build_cutpoint_grid,
+    presort,
+    stack_rows,
+)
 from xbart.errors import ConfigError, DataError
 from xbart.splitting import (
     CandidateScores,
@@ -176,43 +184,45 @@ class TestScan:
         # candidate at most ranks as well as strided ones
         kinds = data.draw(st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=5))
         m = data.draw(st.integers(3, 300))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        cols = np.vstack([COLUMN_KINDS[k](rng, m) for k in kinds])
-        X = PredictorMatrix(cols, categorical=[k == "categorical" for k in kinds])
-        index = presort(X)
+        seed = data.draw(st.integers(0, 2**16))
         order = data.draw(st.sampled_from(["all", "subset", "permutation"]))
         variables = None
         if order == "subset":
-            chosen = data.draw(st.sets(st.integers(0, X.p - 1), min_size=1))
+            chosen = data.draw(st.sets(st.integers(0, len(kinds) - 1), min_size=1))
             variables = np.array(sorted(chosen))
         elif order == "permutation":
-            variables = np.array(data.draw(st.permutations(range(X.p))))
-        orders = index if variables is None else index[variables]
-        grid = build_cutpoint_grid(
-            X,
-            orders,
-            budget=data.draw(st.integers(1, 50)),
-            min_node_size=data.draw(st.integers(1, 3)),
-            variables=variables,
-        )
-        if not len(grid):
-            return
-        resid = rng.normal(size=m) * 10.0 ** data.draw(st.integers(-3, 3))
-        scores = scan_candidates(
-            X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
-            alpha=0.95, beta=1.25, variables=variables,
-        )
-        expect = naive_candidate_scores(
-            cols,
-            np.arange(m),
-            resid,
-            grid,
-            0.9,
-            0.4,
-            lambda sl, nl, sr, nr: node_marginal_loglik(sl, nl, 0.9, 0.4)
-            + node_marginal_loglik(sr, nr, 0.9, 0.4),
-        )
-        np.testing.assert_allclose(scores.log_scores, expect, rtol=1e-10, atol=1e-10)
+            variables = np.array(data.draw(st.permutations(range(len(kinds)))))
+        budget = data.draw(st.integers(1, 50))
+        min_node_size = data.draw(st.integers(1, 3))
+        scale = 10.0 ** data.draw(st.integers(-3, 3))
+        # the cut-off at 0 sorts every column; by default the tied and
+        # categorical ones are counted
+        for cutoff in (0, _COUNT_LEVELS):
+            rng = np.random.default_rng(seed)
+            cols = np.vstack([COLUMN_KINDS[k](rng, m) for k in kinds])
+            with count_levels(cutoff):
+                X = PredictorMatrix(cols, categorical=[k == "categorical" for k in kinds])
+                index = presort(X)
+            orders = index[stack_rows(X, variables)]
+            grid = build_cutpoint_grid(X, orders, budget, min_node_size, variables)
+            if not len(grid):
+                return
+            resid = rng.normal(size=m) * scale
+            scores = scan_candidates(
+                X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
+                alpha=0.95, beta=1.25, variables=variables,
+            )
+            expect = naive_candidate_scores(
+                cols,
+                np.arange(m),
+                resid,
+                grid,
+                0.9,
+                0.4,
+                lambda sl, nl, sr, nr: node_marginal_loglik(sl, nl, 0.9, 0.4)
+                + node_marginal_loglik(sr, nr, 0.9, 0.4),
+            )
+            np.testing.assert_allclose(scores.log_scores, expect, rtol=1e-10, atol=1e-10)
 
     def test_variable_subset_keeps_alignment(self):
         rng = np.random.default_rng(8)

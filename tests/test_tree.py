@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_KINDS, tree_depth, walk_tree
+from conftest import COLUMN_KINDS, count_levels, tree_depth, walk_tree
 from xbart import tree as tree_module
-from xbart.data import PredictorMatrix, presort
+from xbart.data import _COUNT_LEVELS, PredictorMatrix, presort
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import Hyperparams
 from xbart.tree import Tree, grow_tree, sample_leaf_value
@@ -308,6 +308,48 @@ class TestGrow:
         assert a.value.tobytes() == b.value.tobytes()
         assert fa.tobytes() == fb.tobytes()
 
+    @pytest.mark.parametrize("p, mtry", [(7, None), (7, 3), (8, 2)])
+    @pytest.mark.parametrize("min_node_size", [1, 3])
+    @pytest.mark.parametrize("first", ["tied", "tie_free"])
+    def test_counted_and_sorted_columns_grow_the_same_tree(self, p, mtry, min_node_size, first):
+        # mtry = p scores every column, 3 of 7 sifts every node and 2 of 8
+        # filters; with a cut-off of 6 the "six" columns sit at the cut-off
+        # and are counted, the "seven" ones a level over it are sorted
+        kinds = {
+            **COLUMN_KINDS,
+            "six": lambda rng, n: rng.integers(0, 6, size=n) - 2.5,
+            "seven": lambda rng, n: rng.integers(0, 7, size=n) / 2.0,
+        }
+        names = [first, "six", "seven", "categorical", "tied", "tie_free", "six", "seven"][:p]
+        n = 300
+        params = _params(mtry=mtry, n_cutpoints=20, min_node_size=min_node_size)
+        grown = []
+        for cutoff in (0, 6, _COUNT_LEVELS):
+            rng = np.random.default_rng(p + 10 * min_node_size)
+            with count_levels(cutoff):
+                X = PredictorMatrix(
+                    [kinds[k](rng, n) for k in names],
+                    categorical=[k == "categorical" for k in names],
+                )
+                index = presort(X)
+            resid = X.columns[1] - 0.5 * X.columns[4] + rng.normal(size=n)
+            weights = None if mtry is None else rng.dirichlet(np.ones(p))
+            fitted = np.full(n, np.nan)
+            tree = _grow(
+                X, resid, seed=5, sigma2=0.3, params=params, index=index,
+                var_weights=weights, fitted_out=fitted,
+            )
+            grown.append((tree, fitted, X.level_codes().counted.sum()))
+        (a, fa, none), *others = grown
+        assert none == 0 and a.n_nodes > 5 and not np.isnan(fa).any()
+        at_six = 4 + (first == "tied")
+        assert [counted for *_, counted in others] == [at_six, at_six + names.count("seven")]
+        assert 1 in a.var  # a counted column at both cut-offs
+        for b, fb, _ in others:
+            assert a.var.tobytes() == b.var.tobytes()
+            assert a.value.tobytes() == b.value.tobytes()
+            assert fa.tobytes() == fb.tobytes()
+
     def test_bad_variances_rejected(self):
         X = PredictorMatrix([[0.0, 1.0]])
         with pytest.raises(DataError):
@@ -340,6 +382,15 @@ class TestRecords:
         back = Tree.from_records(tree.to_records(), n_features=3)
         assert back.to_records() == tree.to_records()
         np.testing.assert_array_equal(back.predict(X), tree.predict(X))
+
+    def test_largest_leaf_is_reported_and_cuts_are_not(self):
+        records = [
+            ["split", 0, 5e300], ["leaf", -2.0], ["split", 1, -7.0], ["leaf", 1.5], ["leaf", 0.0]
+        ]
+        largest = [9.0]
+        Tree.from_records(records, 2, largest)
+        Tree.from_records([["leaf", -0.0]], 2, largest)
+        assert largest == [9.0, 2.0, 0.0]
 
     def test_single_leaf_round_trip(self):
         recs = Tree.single_leaf(1.25).to_records()
