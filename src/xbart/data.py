@@ -261,13 +261,8 @@ class LevelCodes:
     cumulative count.  ``slot[v]`` is the slot of column ``v``, -1 for a
     sorted column; ``sorted_columns`` lists the sorted columns, and
     ``categorical_bins`` marks the bins of categorical slots (None when no
-    counted column is categorical).
-
-    Signed zeros are one level, and ``values`` keeps one of them.  For each
-    column that holds both, ``zero_rows`` lists the rows of its zero level
-    in ascending order, one block per such column starting at
-    ``zero_starts``; ``zero_columns`` and ``zero_bins`` hold each block's
-    column and zero bin.
+    counted column is categorical).  Both signed zeros make one level,
+    whose value is +0.0.
 
     A node stack holds one order per row: row 0 lists the node's rows in
     column-0 order, and the next rows order them by each sorted column other
@@ -283,10 +278,6 @@ class LevelCodes:
     categorical_bins: np.ndarray | None
     codes: np.ndarray
     values: np.ndarray
-    zero_columns: np.ndarray
-    zero_bins: np.ndarray
-    zero_rows: np.ndarray
-    zero_starts: np.ndarray
     stack_row: np.ndarray
 
 
@@ -309,15 +300,7 @@ def _level_codes(X: PredictorMatrix) -> LevelCodes:
     values = np.zeros(columns.size * width)
     for bin_, (levels, _) in zip(first, found):
         values[bin_ : bin_ + levels.size] = levels
-    # the counted columns that hold both signed zeros, and their zero rows
-    block = X.columns[columns]
-    zero = block == 0.0
-    negative = np.signbit(block)
-    signed = np.flatnonzero((zero & negative).any(axis=1) & (zero & ~negative).any(axis=1))
-    owner, zero_rows = np.nonzero(zero[signed])
-    zero_starts = np.searchsorted(owner, np.arange(signed.size))
-    zero_bins = codes[signed, zero_rows[zero_starts]]
-    zero_columns = columns[signed]
+    values += 0.0  # a zero level's value is +0.0, as a sorted column's cut is
     in_stack = _in_stack(counted)
     stack_row = np.where(in_stack, np.cumsum(in_stack) - 1, -1)
     slot = np.where(counted, np.cumsum(counted) - 1, -1)
@@ -325,10 +308,11 @@ def _level_codes(X: PredictorMatrix) -> LevelCodes:
     categorical_bins = X.categorical[columns].repeat(width)
     if not categorical_bins.any():
         categorical_bins = None
-    arrays = (codes, values, zero_columns, zero_bins, zero_rows, zero_starts, stack_row)
-    for a in (columns, sorted_columns, slot) + arrays:
+    for a in (columns, sorted_columns, slot, codes, values, stack_row):
         a.flags.writeable = False
-    return LevelCodes(counted, columns, sorted_columns, slot, width, categorical_bins, *arrays)
+    return LevelCodes(
+        counted, columns, sorted_columns, slot, width, categorical_bins, codes, values, stack_row
+    )
 
 
 def presort(X: PredictorMatrix) -> np.ndarray:
@@ -483,9 +467,10 @@ def build_cutpoint_grid(
     of all counted columns are counted with one `np.bincount` over the codes
     of the node's rows (row 0 of ``index``); each level's cumulative count
     is the end of its tie run, with no order needed.  Both give the same
-    candidates, and a counted candidate's value is its level's, taken from
-    the node's last row in the level when the column holds both signed
-    zeros, as the sorted order would.
+    candidates, and a counted candidate's value is its level's.  A zero cut
+    is +0.0 on either path, whatever the sign of the zeros in its column:
+    ``x <= -0.0`` and ``x <= +0.0`` make the same partition, so a fit does
+    not depend on those signs.
 
     Parameters
     ----------
@@ -582,12 +567,15 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
         merged = np.concatenate((keys, tied_keys))
         keys = np.sort(merged) if keys.size and tied_keys.size else merged
     var_ids = variables[keys // m]
-    return var_ids, keys % m, X.columns.take(var_ids * X.n + index.take(keys))
+    # adding 0.0 turns a -0.0 cut into +0.0 and leaves every other value as is
+    return var_ids, keys % m, X.columns.take(var_ids * X.n + index.take(keys)) + 0.0
 
 
 def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     """The grid of the counted columns ``variables`` at the node of ``rows``;
-    ``None`` scores every counted column, in slot order."""
+    ``None`` scores every counted column, in slot order.  A candidate's value
+    is its level's entry of `LevelCodes.values`, so a zero cut is +0.0
+    whichever zeros the node's rows hold."""
     levels = X.level_codes()
     m, width = rows.size, levels.width
     if variables is None:
@@ -627,18 +615,7 @@ def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     var_ids = variables.take(at // width)
     if bins is not None:
         at = bins.take(at)
-    table = levels.values
-    if levels.zero_rows.size:
-        # the sorted order ends a tie run with its highest row id, and the
-        # cut takes that row's zero, with its sign
-        member = np.zeros(X.n, dtype=bool)
-        member[rows] = True
-        hit = np.where(member.take(levels.zero_rows), levels.zero_rows, -1)
-        table = table.copy()
-        table[levels.zero_bins] = X.columns[
-            levels.zero_columns, np.maximum.reduceat(hit, levels.zero_starts)
-        ]
-    return CutpointGrid(var_ids, ranks, table.take(at), at, codes)
+    return CutpointGrid(var_ids, ranks, levels.values.take(at), at, codes)
 
 
 def _checked_variables(variables, p: int) -> np.ndarray:

@@ -185,7 +185,8 @@ class ForestSampler:
         self.root_index = presort(X)
 
         L = params.n_trees
-        self.trees: list[Tree] = [Tree.single_leaf(0.0) for _ in range(L)]
+        # one shared start leaf: no tree is mutated, only replaced
+        self.trees: list[Tree] = [Tree.single_leaf(0.0)] * L
         self.sigma2 = var_y
         self.tau = var_y / L
         self.fitted = np.zeros((L, X.n))  # per-tree fitted values

@@ -244,6 +244,8 @@ def _load_draw(
 
     A prediction of the draw is ``y_offset`` plus one leaf of each tree, so
     ``|y_offset|`` plus the trees' largest ``|leaf|`` must be finite.
+    ``sigma2`` must be positive and ``tau`` non-negative, as `grow_tree`
+    requires.
     """
     sweep, trees = d["sweep"], d["trees"]
     if type(sweep) is not int or not after < sweep <= params.n_sweeps:
@@ -262,9 +264,10 @@ def _load_draw(
             f"draw {k} can predict beyond float64: |y_offset| plus the largest "
             "|leaf| of each of its trees overflows"
         )
-    return SweepDraw(
-        sweep=sweep,
-        trees=trees,
-        sigma2=parse_finite(d["sigma2"], f"sigma2 of draw {k}"),
-        tau=parse_finite(d["tau"], f"tau of draw {k}"),
-    )
+    sigma2 = parse_finite(d["sigma2"], f"sigma2 of draw {k}")
+    tau = parse_finite(d["tau"], f"tau of draw {k}")
+    if sigma2 <= 0.0:
+        raise ModelFormatError(f"sigma2 of draw {k} is not positive: {sigma2!r}")
+    if tau < 0.0:
+        raise ModelFormatError(f"tau of draw {k} is negative: {tau!r}")
+    return SweepDraw(sweep=sweep, trees=trees, sigma2=sigma2, tau=tau)

@@ -107,7 +107,8 @@ def reference_grid(X, index, budget, min_node_size=1, variables=None) -> Cutpoin
     continuous columns when ``m - 2 > budget``, every rank ``0 .. m - 2``
     otherwise; each base rank walks forward to the end of its tie run, and
     the distinct run ends inside ``[min_node_size - 1, m - 1 -
-    min_node_size]`` are the candidates, in column order.
+    min_node_size]`` are the candidates, in column order.  A candidate's
+    value is the column's value at its rank, with a zero written as +0.0.
     """
     m = index.shape[1]
     var_ids, ranks, values = [], [], []
@@ -126,7 +127,7 @@ def reference_grid(X, index, budget, min_node_size=1, variables=None) -> Cutpoin
             if min_node_size - 1 <= rank <= m - 1 - min_node_size:
                 var_ids.append(v)
                 ranks.append(rank)
-                values.append(sorted_vals[rank])
+                values.append(sorted_vals[rank] + 0.0)  # a zero cut is +0.0
     return CutpointGrid(
         np.array(var_ids, dtype=np.intp),
         np.array(ranks, dtype=np.intp),

@@ -150,11 +150,6 @@ class TestPresort:
             assert np.array_equal(levels.values[bins], X.columns[v])
             present = np.unique(bins)
             assert np.all(np.diff(levels.values[present]) > 0)
-        # column 1 holds both signed zeros; its zero rows ascend
-        assert levels.zero_columns.tolist() == [1]
-        zeros = np.flatnonzero(X.columns[1] == 0.0)
-        assert levels.zero_rows.tolist() == zeros.tolist()
-        assert levels.values[levels.zero_bins[0]] == 0.0
 
 
 class TestStackRows:
@@ -412,10 +407,9 @@ class TestCutpointGrid:
 
     @pytest.mark.parametrize("last", [-0.0, 0.0])
     @pytest.mark.parametrize("cutoff", [0, _COUNT_LEVELS])
-    def test_zero_cut_takes_the_sign_of_the_last_zero_row(self, last, cutoff):
-        # the node's zero rows, in row order, end with ``last``; the sorted
-        # order puts that row at the end of the zero run, and so does the
-        # counted column
+    def test_zero_cut_is_positive_whichever_zero_ends_the_run(self, last, cutoff):
+        # the node's zero rows, in row order, end with ``last``, which ends
+        # the zero run of the sorted order; the cut is +0.0 either way
         cols = [
             [1.0, -0.0, 0.0, -1.0, -0.0, 2.0, last, 0.0, 3.0],
             [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0],
@@ -427,11 +421,14 @@ class TestCutpointGrid:
         node = sift(X, root, 1, 0.0)[0]  # rows 0 to 6
         grid = build_cutpoint_grid(X, node[stack_rows(X, [0])], budget=10, variables=[0])
         assert grid.values.tolist() == [-1.0, 0.0, 1.0]
-        assert np.signbit(grid.values[1]) == np.signbit(last)
-        # at the root, row 7's +0.0 ends the zero run
+        assert not np.signbit(grid.values[1])
+        # every row that holds either zero goes left of the cut
+        left, right = sift(X, node, 0, float(grid.values[1]))
+        assert np.sort(left[0]).tolist() == [1, 2, 3, 4, 6]
+        assert np.sort(right[0]).tolist() == [0, 5]
         root_grid = build_cutpoint_grid(X, root[stack_rows(X)], budget=10)
         assert root_grid.values.tolist() == [-1.0, 0.0, 1.0, 2.0, 0.0]
-        assert not np.signbit(root_grid.values[1])
+        assert not np.signbit(root_grid.values[[1, 4]]).any()
 
     def test_stride_formula_large_node(self):
         # 1002 distinct values against a budget of 100: stride 10, ranks 0,10,...,990

@@ -5,12 +5,19 @@ ranks, and the sampler centres y and sets its variance priors from Var(y).
 Each test refits a small seeded forest (``mtry < p``, one tied column) on
 transformed data and checks the prescribed relation to the original fit.
 ``ForestSampler.run`` keeps the burn-in sweeps, so those are compared too.
+Flipping the sign of zero predictors must leave even the saved model file
+unchanged, for every way of scoring and ordering the columns.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_levels
+from xbart.data import _COUNT_LEVELS, PredictorMatrix
 from xbart.forest import ForestSampler, Hyperparams
 from xbart.model import fit
 
@@ -94,3 +101,41 @@ def test_affine_map_of_y_maps_the_predictions(seed, c, b):
     mapped = fit(X, c * y + b, PARAMS, seed=seed).predict(X)
     scale = c * np.max(np.abs(base)) + abs(b)
     assert np.max(np.abs(mapped - (c * base + b))) <= 1e-9 * scale
+
+
+def _zero_data(seed):
+    """Columns that hold zeros: tie-free with one zero, tied with both signed
+    zeros, categorical with level 0, and tie-free noise."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    X = np.column_stack(
+        [
+            rng.permutation(n) - n // 2.0,
+            rng.integers(-2, 3, size=n) * rng.choice([-0.5, 0.5], size=n),
+            rng.integers(0, 4, size=n).astype(float),
+            rng.normal(size=n),
+        ]
+    )
+    y = 0.1 * X[:, 0] + X[:, 1] + (X[:, 2] == 0.0) + 0.3 * rng.normal(size=n)
+    return X, y
+
+
+# mtry=None scores every column, 1 filters each node's orders from the
+# root's (4 * mtry <= p), and 2 sifts the drawn columns' orders
+@pytest.mark.parametrize("mtry", [None, 1, 2])
+@pytest.mark.parametrize("cutoff", [0, _COUNT_LEVELS])
+def test_sign_of_zero_predictors_leaves_the_model_file_unchanged(tmp_path, mtry, cutoff):
+    # x <= -0.0 and x <= +0.0 make the same partition, and every zero cut is
+    # written as +0.0, so the files are the same bytes
+    params = replace(PARAMS, mtry=mtry)
+    for seed in range(10):
+        X, y = _zero_data(seed)
+        files = []
+        for rows in (X, np.where(X == 0.0, -X, X)):
+            with count_levels(cutoff):
+                pm = PredictorMatrix.from_rows(rows, categorical=[False, False, True, False])
+                model = fit(pm, y, params, seed=seed)
+            path = tmp_path / f"{len(files)}.json"
+            model.save(path)
+            files.append(path.read_bytes())
+        assert files[0] == files[1], f"seed {seed}"

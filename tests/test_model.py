@@ -417,6 +417,9 @@ class TestPersistence:
             ("y_offset", lambda p: p.update(y_offset=np.inf)),
             ("sigma2", lambda p: p["draws"][0].update(sigma2=np.inf)),
             ("tau", lambda p: p["draws"][1].update(tau=np.nan)),
+            ("sigma2 of draw 0 is not positive", lambda p: p["draws"][0].update(sigma2=-1.0)),
+            ("sigma2 of draw 1 is not positive", lambda p: p["draws"][1].update(sigma2=0.0)),
+            ("tau of draw 1 is negative", lambda p: p["draws"][1].update(tau=-2.0)),
             ("cut value", _first_tree([["split", 0, -np.inf], ["leaf", 0.0], ["leaf", 0.0]])),
             ("leaf value", _first_tree([["split", 0, 0.0], ["leaf", np.nan], ["leaf", 0.0]])),
             ("leaf value", _first_tree([["leaf", "1.0"]])),
@@ -444,7 +447,8 @@ class TestPersistence:
             (r"\['gamma'\] are missing or unknown", lambda p: p["params"].update(gamma=1.0)),
         ],
         ids=[
-            "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau", "inf_cut",
+            "nan_y_offset", "inf_y_offset", "inf_sigma2", "nan_tau",
+            "negative_sigma2", "zero_sigma2", "negative_tau", "inf_cut",
             "nan_leaf", "string_leaf", "fractional_split_variable",
             "short_categorical", "string_categorical", "fractional_categorical",
             "null_categorical", "two_categorical", "long_feature_names", "fractional_n_features",
