@@ -12,7 +12,8 @@ broken by original row order.
 A node's *stack* holds its rows in column-0 order, then its orderings of
 the sorted columns after column 0; counted columns need none.  Two ways
 produce it.  ``sift`` partitions a node's ``(s, m)`` stack into its
-children's, which stay sorted, at O(s·m) per split.  ``node_orders``
+children's, which stay sorted, at O(s·m) per split, a cache-sized block of
+whole stack rows (``_STACK_BLOCK`` entries) at a time.  ``node_orders``
 filters the ``(k, m)`` orderings of just the ``k`` sorted columns a node
 scores from the root stack, at O(k·n) per node; a tree whose nodes score
 few of many columns takes that path, and its nodes carry only their row
@@ -32,9 +33,12 @@ cut`` — ties at the cut go left.  A node's grid starts every column from a
 ladder of evenly spaced base ranks; every tie-free column is continuous, so
 all of them share one ladder and keep its ranks, while the other sorted
 columns (each with its own ladder) have their values gathered in one block
-and their base ranks moved to run ends in one pass.  A counted column's run
-ends are its levels' cumulative counts at the node, from one `np.bincount`
-over all counted columns, so it needs no ordering to give the same ranks.
+and their base ranks moved to run ends in one pass.  When every scored
+column is tie-free, the candidates form one block of columns by ladder
+ranks, which the grid hands to the scan as such (`CutpointGrid.ladder`).
+A counted column's run ends are its levels' cumulative counts at the node,
+from one `np.bincount` over all counted columns, so it needs no ordering to
+give the same ranks.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ CATEGORICAL = "categorical"
 
 # Rows per block of PredictorMatrix's transposing copy (BENCH_ingest.json).
 _COPY_BLOCK = 512
+
+# Entries per block of a node stack that `sift` and the scan's residual gather
+# work on at once: max(1, _STACK_BLOCK // m) whole stack rows of a node of m
+# rows, so that a block's flags, positions and gathered residuals stay in the
+# L2 cache (sweep from 2**14 to 2**18 in BENCH_blocks.json).
+_STACK_BLOCK = 2**16
 
 # A column with ties and at most this many distinct values is counted at each
 # node instead of sorted (crossover measured in BENCH_levels.json).
@@ -104,9 +114,11 @@ class PredictorMatrix:
         Column names, kept for CSV round-trips and error messages.
     keep : sorted column ids, optional
         Store only these rows of ``columns``; ``FittedModel.predict`` passes
-        the columns its trees split on.  Every column is still checked for
-        finite values, and a cell at fault is named by its place in
-        ``columns``.  Default: store every column.
+        the columns its trees split on.  The ids must be distinct, ascending
+        and inside ``0..p-1``; an entry that is not raises a `DataError`
+        naming it.  Every column is still checked for finite values, and a
+        cell at fault is named by its place in ``columns``.  Default: store
+        every column.
     """
 
     def __init__(self, columns, categorical=None, names=None, keep=None):
@@ -116,6 +128,15 @@ class PredictorMatrix:
         p, n = src.shape
         if n < 1 or p < 1:
             raise DataError(f"need at least one row and one column, got n={n}, p={p}")
+        if keep is not None:
+            keep = _checked_variables(keep, p, "keep")
+            down = np.flatnonzero(keep[1:] < keep[:-1])
+            if down.size:
+                i = down[0] + 1
+                raise DataError(
+                    f"keep[{i}] is {keep[i]}, below keep[{i - 1}] = {keep[i - 1]}; "
+                    "keep lists column ids in ascending order"
+                )
         # Copied _COPY_BLOCK rows at a time: a block of row-major input is one
         # contiguous read whose p column pieces stay cached while the block is
         # checked for finite values and its kept columns are written.
@@ -364,9 +385,20 @@ def sift(
     Rows with ``X[var] <= cut`` go left.  ``index`` may be any ``(k, m)``
     stack of orderings of the node's ``m`` rows, such as the node stack of
     `LevelCodes`; ``var`` need not be one of its columns.  The flag of every
-    entry of the stack is looked up once, and each child is one
-    ``compress`` of the flattened stack; every row of the output keeps its
-    order, because selection preserves order.
+    entry of the stack is looked up once, and each child keeps the entries
+    of the flattened stack that its flags select; every row of the output
+    keeps its order, because selection preserves order.
+
+    The stack is walked in blocks of ``max(1, _STACK_BLOCK // m)`` whole
+    rows, so that a block's flags, selected positions and entries stay in
+    the L2 cache: a stack of many large rows would otherwise stream
+    temporaries several times its own size through memory.  Such a stack
+    gets both children allocated once; each block makes one flag ``take``,
+    and per child one ``np.flatnonzero`` and one ``take`` that writes
+    straight into the child's rows of that block.  A stack that fits in one
+    block, as every small node's does, is split by one flag ``take`` and
+    one ``compress`` per child, which takes up to 4 µs less per call
+    (``BENCH_blocks.json``, ``one_block_paths``).
 
     Raises
     ------
@@ -376,15 +408,36 @@ def sift(
         reaching this is a bug.
     """
     k, m = index.shape
-    goes_left = (X.columns[var] <= cut).take(index).ravel()
+    step = max(1, _STACK_BLOCK // m)
+    flags = X.columns[var] <= cut
+    goes_left = flags.take(index[:step]).ravel()
     n_left = int(np.count_nonzero(goes_left[:m]))
     if n_left == 0 or n_left == m:
         raise DataError(
             f"cut {cut!r} on variable {var} does not split the node (m={m})"
         )
-    flat = index.ravel()
-    left = np.compress(goes_left, flat).reshape(k, n_left)
-    right = np.compress(~goes_left, flat).reshape(k, m - n_left)
+    if step >= k:
+        flat = index.ravel()
+        return (
+            np.compress(goes_left, flat).reshape(k, n_left),
+            np.compress(~goes_left, flat).reshape(k, m - n_left),
+        )
+    n_right = m - n_left
+    left = np.empty((k, n_left), dtype=index.dtype)
+    right = np.empty((k, n_right), dtype=index.dtype)
+    to_left, to_right = left.reshape(-1), right.reshape(-1)
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        if lo:
+            goes_left = flags.take(index[lo:hi]).ravel()
+        flat = index[lo:hi].ravel()
+        # "clip" lets take write straight into the child: with the default
+        # "raise" it fills a temporary copy first, as compress does
+        to = to_left[lo * n_left : hi * n_left]
+        flat.take(np.flatnonzero(goes_left), out=to, mode="clip")
+        np.logical_not(goes_left, out=goes_left)
+        to = to_right[lo * n_right : hi * n_right]
+        flat.take(np.flatnonzero(goes_left), out=to, mode="clip")
     return left, right
 
 
@@ -424,6 +477,11 @@ class CutpointGrid:
     column, and ``codes`` holds the bins of the node's rows in each counted
     column that was scored, one row per column; the scan sums residuals over
     those bins.  Both are None when no scored column is counted.
+
+    ``ladder`` holds the ranks that every column's candidates share when
+    every scored column is tie-free: the candidates are then a block of one
+    row per column and one entry per ladder rank, which `scan_candidates`
+    scores as such.  It is None when a scored column has ties or is counted.
     """
 
     var_ids: np.ndarray
@@ -431,6 +489,7 @@ class CutpointGrid:
     values: np.ndarray
     levels: np.ndarray | None = None
     codes: np.ndarray | None = None
+    ladder: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.var_ids.size
@@ -462,8 +521,10 @@ def build_cutpoint_grid(
 
     The columns that `X.tie_free_columns` marks are continuous, so they all
     share the node's one ladder and keep its ranks without gathering their
-    values.  The values of the other sorted columns are gathered at once,
-    and their run ends are found in one pass over that gather.  The levels
+    values; when every scored column is one of them, the grid keeps the
+    ladder's ranks as ``ladder`` for the scan.  The values of the other
+    sorted columns are gathered at once, and their run ends are found in
+    one pass over that gather.  The levels
     of all counted columns are counted with one `np.bincount` over the codes
     of the node's rows (row 0 of ``index``); each level's cumulative count
     is the end of its tie run, with no order needed.  Both give the same
@@ -506,14 +567,16 @@ def build_cutpoint_grid(
     m = index.shape[1]
     lo, hi = min_node_size - 1, m - 1 - min_node_size
     count, j = (budget, (m - 2) // budget) if m - 2 > budget else (m - 1, 1)
-    if not counted_vars.size:
-        return CutpointGrid(*_sorted_candidates(X, index, sorted_vars, count, j, lo, hi))
-    grid = _counted_candidates(
-        X, index[0], None if variables is None else counted_vars, count, j, lo, hi
-    )
-    if not sorted_vars.size:
-        return grid
-    var_ids, ranks, values = _sorted_candidates(X, index, sorted_vars, count, j, lo, hi)
+    grid = None
+    if counted_vars.size:
+        grid = _counted_candidates(
+            X, index[0], None if variables is None else counted_vars, count, j, lo, hi
+        )
+        if not sorted_vars.size:
+            return grid
+    var_ids, ranks, values, ladder = _sorted_candidates(X, index, sorted_vars, count, j, lo, hi)
+    if grid is None:
+        return CutpointGrid(var_ids, ranks, values, ladder=ladder)
     # interleave both groups by position in variables, then rank
     pos = np.arange(X.p)
     if variables is not None:
@@ -537,38 +600,44 @@ def build_cutpoint_grid(
 
 
 def _sorted_candidates(X, index, variables, count, j, lo, hi):
-    """``(var_ids, ranks, values)`` of the sorted columns ``variables``,
-    whose node orders are the rows of ``index``."""
+    """``(var_ids, ranks, values, ladder)`` of the sorted columns
+    ``variables``, whose node orders are the rows of ``index``."""
     m = index.shape[1]
-    snap = ~X.tie_free_columns()[variables]
-    # candidate keys ``row of index * m + rank``; the tie-free columns keep
-    # the in-range ranks of the one continuous ladder
+    tied = np.flatnonzero(~X.tie_free_columns()[variables])
+    # the tie-free columns keep the in-range ranks of the one continuous ladder
     base = np.arange(count) * j
     kept = base[(base >= lo) & (base <= hi)]
-    keys = (np.flatnonzero(~snap)[:, None] * m + kept).ravel()
-    tied = np.flatnonzero(snap)
-    if tied.size:
-        cols = variables[tied]
-        # a categorical column takes every rank even in a strided node
-        counts = np.where(X.categorical[cols], m - 1, count)
-        steps = np.where(X.categorical[cols], 1, j)
-        sv = X.columns.take(index[tied] + X.n * cols[:, None])
-        run_end = np.ones(sv.shape, dtype=bool)
-        np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
-        row, end = np.divmod(np.flatnonzero(run_end), m)
-        # base ranks at or before each run end, plus those of earlier rows:
-        # it rises from one run end to the next exactly when the run between
-        # them holds a base rank, which then moves to that end
-        held = np.minimum(end // steps[row] + 1, counts[row])
-        held += (np.cumsum(counts) - counts)[row]
-        keep = held > np.concatenate(([0], held[:-1]))
-        keep &= (end >= lo) & (end <= hi)
-        tied_keys = tied[row[keep]] * m + end[keep]
-        merged = np.concatenate((keys, tied_keys))
-        keys = np.sort(merged) if keys.size and tied_keys.size else merged
+    if not tied.size:
+        # the candidates are a (columns, ranks) block, row by row
+        var_ids = variables.repeat(kept.size)
+        values = X.columns.take(var_ids * X.n + index[:, kept].ravel())
+        return var_ids, np.tile(kept, variables.size), values + 0.0, kept
+    # candidate keys ``row of index * m + rank``
+    free = np.ones(variables.size, dtype=bool)
+    free[tied] = False
+    keys = (np.flatnonzero(free)[:, None] * m + kept).ravel()
+    cols = variables[tied]
+    # a categorical column takes every rank even in a strided node
+    counts = np.where(X.categorical[cols], m - 1, count)
+    steps = np.where(X.categorical[cols], 1, j)
+    sv = X.columns.take(index[tied] + X.n * cols[:, None])
+    run_end = np.ones(sv.shape, dtype=bool)
+    np.not_equal(sv[:, 1:], sv[:, :-1], out=run_end[:, :-1])
+    row, end = np.divmod(np.flatnonzero(run_end), m)
+    # base ranks at or before each run end, plus those of earlier rows:
+    # it rises from one run end to the next exactly when the run between
+    # them holds a base rank, which then moves to that end
+    held = np.minimum(end // steps[row] + 1, counts[row])
+    held += (np.cumsum(counts) - counts)[row]
+    keep = held > np.concatenate(([0], held[:-1]))
+    keep &= (end >= lo) & (end <= hi)
+    tied_keys = tied[row[keep]] * m + end[keep]
+    merged = np.concatenate((keys, tied_keys))
+    keys = np.sort(merged) if keys.size and tied_keys.size else merged
     var_ids = variables[keys // m]
     # adding 0.0 turns a -0.0 cut into +0.0 and leaves every other value as is
-    return var_ids, keys % m, X.columns.take(var_ids * X.n + index.take(keys)) + 0.0
+    values = X.columns.take(var_ids * X.n + index.take(keys)) + 0.0
+    return var_ids, keys % m, values, None
 
 
 def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
@@ -618,29 +687,30 @@ def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     return CutpointGrid(var_ids, ranks, levels.values.take(at), at, codes)
 
 
-def _checked_variables(variables, p: int) -> np.ndarray:
+def _checked_variables(variables, p: int, name: str = "variables") -> np.ndarray:
     """``variables`` as an ``intp`` array of distinct column ids in ``0..p-1``.
 
     A range check, then one `np.bincount`: O(p) and no sort, because it runs
     at every node that scores a subset of the columns.  Entries must be
     integers in a flat sequence: a cast would truncate ``0.5`` to column 0.
+    An entry at fault is named as an item of ``name``.
     """
     variables = np.asarray(variables)
     if variables.ndim != 1:
-        raise DataError(f"variables must be 1-d, got shape {variables.shape}")
+        raise DataError(f"{name} must be 1-d, got shape {variables.shape}")
     # an empty list arrives as float64 and names no column
     if variables.size and variables.dtype.kind not in "iu":
-        raise DataError(f"variables must be integer column ids, got dtype {variables.dtype}")
+        raise DataError(f"{name} must be integer column ids, got dtype {variables.dtype}")
     variables = variables.astype(np.intp, copy=False)
     outside = np.flatnonzero((variables < 0) | (variables >= p))
     if outside.size:
         i = outside[0]
-        raise DataError(f"variables[{i}] is {variables[i]}, outside 0..{p - 1}")
+        raise DataError(f"{name}[{i}] is {variables[i]}, outside 0..{p - 1}")
     repeated = np.flatnonzero(np.bincount(variables, minlength=p)[variables] > 1)
     if repeated.size:
         first, again = np.flatnonzero(variables == variables[repeated[0]])[:2]
         raise DataError(
-            f"variables[{again}] is {variables[again]}, the same column as variables[{first}]"
+            f"{name}[{again}] is {variables[again]}, the same column as {name}[{first}]"
         )
     return variables
 

@@ -8,7 +8,7 @@ from hypothesis import settings
 from scipy import integrate
 
 from xbart import data as data_module
-from xbart.data import CutpointGrid
+from xbart.data import CutpointGrid, PredictorMatrix, presort
 from xbart.errors import DataError
 
 # every property test draws the same examples on every run
@@ -33,6 +33,35 @@ def count_levels(cutoff):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "_COUNT_LEVELS", cutoff)
         yield
+
+
+@contextlib.contextmanager
+def stack_block(entries):
+    """Walk node stacks in blocks of ``entries`` entries in `sift` and the
+    scan: ``max(1, entries // m)`` whole rows of a node of ``m`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_STACK_BLOCK", entries)
+        yield
+
+
+# node stacks for the blocked-walk tests: "sorted" sorts the tied and
+# categorical columns too, "subset" takes the stack rows of a few scored
+# columns and "filtered" their orders from `node_orders`, as a tree that
+# filters does
+LAYOUTS = ("tie_free", "sorted", "counted", "subset", "filtered")
+
+
+def layout_matrix(layout, rng, p, n):
+    """``(X, presort(X))`` for a `LAYOUTS` entry: ``p`` tie-free columns for
+    "tie_free", else a mix of every kind, whose tied and categorical
+    columns "sorted" sorts and the others count."""
+    kinds = ["tie_free"] * p if layout == "tie_free" else (sorted(COLUMN_KINDS) * p)[:p]
+    with count_levels(0 if layout == "sorted" else data_module._COUNT_LEVELS):
+        X = PredictorMatrix(
+            [COLUMN_KINDS[k](rng, n) for k in kinds],
+            categorical=[k == "categorical" for k in kinds],
+        )
+        return X, presort(X)
 
 
 def stack_columns(X) -> np.ndarray:

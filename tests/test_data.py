@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_KINDS, column_orders, count_levels, reference_grid, stack_columns
+from conftest import (
+    COLUMN_KINDS,
+    LAYOUTS,
+    column_orders,
+    count_levels,
+    layout_matrix,
+    reference_grid,
+    stack_block,
+    stack_columns,
+)
 from xbart.data import (
     _COPY_BLOCK,
     _COUNT_LEVELS,
@@ -242,6 +251,52 @@ class TestSift:
         assert left.tolist() == [[1, 3], [3, 1]] and right.tolist() == [[0, 2], [2, 0]]
         with pytest.raises(DataError, match="does not split the node"):
             sift(X, stack, 0, 3.0)
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_blocks_of_stack_rows_split_as_one_block(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        p = data.draw(st.integers(4, 7))
+        n = data.draw(st.integers(4, 80))
+        seed = data.draw(st.integers(0, 2**16))
+        rows_per_block = data.draw(st.integers(1, 3))
+        descent = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=2))
+        var, pick = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, 10**6))
+        chosen = np.array(sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1))))
+        X, root = layout_matrix(layout, np.random.default_rng(seed), p, n)
+        node = root
+        for go_left, at in descent:
+            values = np.unique(X.columns[var, node[0]])
+            if values.size < 2:
+                break
+            node = sift(X, node, var, values[at % (values.size - 1)])[0 if go_left else 1]
+        if layout == "subset":
+            node = node[stack_rows(X, chosen)]
+        elif layout == "filtered":
+            node = node_orders(root, node[0], stack_rows(X, chosen))
+        values = np.unique(X.columns[var, node[0]])
+        if values.size < 2:
+            return
+        cut = values[pick % (values.size - 1)]
+        k, m = node.shape
+        with stack_block(2**62):
+            whole = sift(X, node, var, cut)
+        # blocks of rows_per_block rows, whatever the remainder of m
+        with stack_block(rows_per_block * m + pick % m):
+            blocked = sift(X, node, var, cut)
+        for a, b in zip(blocked, whole):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+        assert blocked[0].shape[0] == k
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_degenerate_cut_in_blocks_names_the_variable(self, rows_per_block):
+        X = PredictorMatrix(np.random.default_rng(9).normal(size=(5, 40)))
+        root = presort(X)
+        with stack_block(rows_per_block * 40):
+            for cut in (X.columns[3].max(), X.columns[3].min() - 1.0):
+                with pytest.raises(DataError, match=r"on variable 3 does not split the node \(m=40\)"):
+                    sift(X, root, 3, cut)
 
 
 class TestNodeOrders:
@@ -630,6 +685,27 @@ class TestPredictorMatrix:
             rows[row, col] = np.inf
             with pytest.raises(DataError, match=f"^column {col}, row {row} is inf"):
                 PredictorMatrix.from_rows(rows, keep=keep)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ([5], r"keep\[0\] is 5, outside 0\.\.2"),
+            ([-1], r"keep\[0\] is -1, outside 0\.\.2"),
+            ([2, 0], r"keep\[1\] is 0, below keep\[0\] = 2; keep lists column ids in ascending"),
+            ([1, 1], r"keep\[1\] is 1, the same column as keep\[0\]"),
+            ([0.0, 1.0], r"keep must be integer column ids, got dtype float64"),
+            ([[0, 1]], r"keep must be 1-d, got shape \(1, 2\)"),
+        ],
+        ids=["past_last_column", "negative", "descending", "repeated", "float", "two_dimensional"],
+    )
+    def test_bad_kept_columns_rejected(self, keep, message):
+        # unchecked, 5 raised a bare IndexError, -1 kept the last column and
+        # [2, 0] and [1, 1] stored columns out of order or twice
+        rows = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(DataError, match=message):
+            PredictorMatrix.from_rows(rows, keep=keep)
+        with pytest.raises(DataError, match=message):
+            PredictorMatrix(rows.T, keep=np.array(keep))
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).max <= np.finfo(np.float64).max,

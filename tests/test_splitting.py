@@ -1,5 +1,7 @@
 """Tests for candidate scoring and cutpoint sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,13 @@ from scipy import stats
 
 from conftest import (
     COLUMN_KINDS,
+    LAYOUTS,
     count_levels,
     empirical_split_criterion,
+    layout_matrix,
     naive_candidate_scores,
     quad_node_loglik,
+    stack_block,
     theoretical_split_criterion,
 )
 from xbart.data import (
@@ -19,7 +24,9 @@ from xbart.data import (
     CutpointGrid,
     PredictorMatrix,
     build_cutpoint_grid,
+    node_orders,
     presort,
+    sift,
     stack_rows,
 )
 from xbart.errors import ConfigError, DataError
@@ -284,6 +291,154 @@ class TestScan:
                 1, 0.95, 1.25,
             ).probabilities()
             np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
+
+
+def _score(X, orders, resid, grid, variables=None):
+    return scan_candidates(
+        X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
+        alpha=0.95, beta=1.25, variables=variables,
+    )
+
+
+def _naive(X, rows, resid, grid):
+    return naive_candidate_scores(
+        X.columns, rows, resid, grid, 0.9, 0.4,
+        lambda sl, nl, sr, nr: node_marginal_loglik(sl, nl, 0.9, 0.4)
+        + node_marginal_loglik(sr, nr, 0.9, 0.4),
+    )
+
+
+def _assert_same_scores(got, want):
+    assert got.log_scores.dtype == want.log_scores.dtype
+    assert got.log_scores.tobytes() == want.log_scores.tobytes()
+    assert got.no_split_log_score == want.no_split_log_score
+
+
+class TestBlockedScan:
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_blocks_of_index_rows_score_as_one_block(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        p = data.draw(st.integers(4, 7))
+        n = data.draw(st.integers(6, 120))
+        seed = data.draw(st.integers(0, 2**16))
+        rows_per_block = data.draw(st.integers(1, 3))
+        budget = data.draw(st.integers(1, 40))
+        min_node_size = data.draw(st.integers(1, 3))
+        go_left, var = data.draw(st.booleans()), data.draw(st.integers(0, p - 1))
+        pick = data.draw(st.integers(0, 10**6))
+        variables = None
+        if layout in ("subset", "filtered"):
+            variables = np.array(sorted(data.draw(st.sets(st.integers(0, p - 1), min_size=1))))
+        rng = np.random.default_rng(seed)
+        X, root = layout_matrix(layout, rng, p, n)
+        node = root
+        values = np.unique(X.columns[var])
+        if values.size > 1:
+            node = sift(X, root, var, values[pick % (values.size - 1)])[0 if go_left else 1]
+        wanted = stack_rows(X, variables)
+        orders = node_orders(root, node[0], wanted) if layout == "filtered" else node[wanted]
+        grid = build_cutpoint_grid(X, orders, budget, min_node_size, variables)
+        if not len(grid):
+            return
+        resid = rng.normal(size=n)
+        m = orders.shape[1]
+        with stack_block(2**62):
+            whole = _score(X, orders, resid, grid, variables)
+        with stack_block(rows_per_block * m + pick % m):
+            blocked = _score(X, orders, resid, grid, variables)
+        _assert_same_scores(blocked, whole)
+        np.testing.assert_allclose(
+            blocked.log_scores, _naive(X, node[0], resid, grid), rtol=1e-10, atol=1e-10
+        )
+
+
+class TestLadderScan:
+    """A grid whose scored sorted columns are all tie-free scores its
+    ladder block exactly as the per-candidate segment path does."""
+
+    def _check(self, X, orders, resid, grid, variables=None):
+        assert grid.ladder is not None and len(grid)
+        got = _score(X, orders, resid, grid, variables)
+        _assert_same_scores(got, _score(X, orders, resid, replace(grid, ladder=None), variables))
+        np.testing.assert_allclose(
+            got.log_scores, _naive(X, orders[0], resid, grid), rtol=1e-10, atol=1e-10
+        )
+        return got
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_ladder_is_the_segment_path(self, data):
+        p = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(2, 300))
+        budget = data.draw(st.integers(1, 60))  # strided whenever m - 2 > budget
+        min_node_size = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**16))
+        n_scored = data.draw(st.none() | st.integers(1, p))
+        rng = np.random.default_rng(seed)
+        X = PredictorMatrix(rng.normal(size=(p, m)))
+        variables = None if n_scored is None else rng.permutation(p)[:n_scored]
+        orders = presort(X)[stack_rows(X, variables)]
+        grid = build_cutpoint_grid(X, orders, budget, min_node_size, variables)
+        if not len(grid):
+            return
+        self._check(X, orders, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4), grid, variables)
+
+    @pytest.mark.parametrize("m, budget", [(40, 100), (400, 30)], ids=["every_rank", "strided"])
+    @pytest.mark.parametrize("min_node_size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_ladder_ranks_and_node_sizes(self, m, budget, min_node_size, p):
+        rng = np.random.default_rng(m + min_node_size + p)
+        X = PredictorMatrix(rng.normal(size=(p, m)))
+        index = presort(X)
+        grid = build_cutpoint_grid(X, index, budget, min_node_size)
+        assert grid.ladder.tolist() == grid.ranks[: grid.ladder.size].tolist()
+        assert len(grid) == p * grid.ladder.size
+        self._check(X, index, rng.normal(size=m), grid)
+
+    def test_single_candidate(self):
+        X = PredictorMatrix([[2.0, 1.0, 4.0, 3.0], [0.5, 0.25, 0.75, 1.0]])
+        index = presort(X)
+        grid = build_cutpoint_grid(X, index[[1]], budget=10, min_node_size=2, variables=[1])
+        assert grid.ladder.tolist() == [1] and len(grid) == 1
+        got = self._check(X, index[[1]], np.array([1.0, -2.0, 0.5, 3.0]), grid, np.array([1]))
+        expect = node_marginal_loglik(-1.0, 2, 0.9, 0.4) + node_marginal_loglik(3.5, 2, 0.9, 0.4)
+        assert got.log_scores == pytest.approx([expect], rel=1e-13)
+
+    def test_counted_and_tie_free_columns_take_the_segment_path(self):
+        rng = np.random.default_rng(21)
+        m = 500
+        X = PredictorMatrix(
+            [
+                rng.integers(0, 5, size=m),          # counted, and column 0
+                rng.normal(size=m),
+                COLUMN_KINDS["categorical"](rng, m),  # counted
+                rng.normal(size=m),
+            ],
+            categorical=[False, False, True, False],
+        )
+        assert X.level_codes().counted.tolist() == [True, False, True, False]
+        for variables in (None, np.array([3, 0, 1]), np.array([2, 3])):
+            orders = presort(X)[stack_rows(X, variables)]
+            grid = build_cutpoint_grid(X, orders, budget=25, variables=variables)
+            assert (grid.levels >= 0).any() and (grid.levels < 0).any()
+            assert grid.ladder is None
+            resid = rng.normal(size=m)
+            np.testing.assert_allclose(
+                _score(X, orders, resid, grid, variables).log_scores,
+                _naive(X, orders[0], resid, grid),
+                rtol=1e-10,
+                atol=1e-10,
+            )
+
+    def test_a_tied_sorted_column_takes_the_segment_path(self):
+        rng = np.random.default_rng(22)
+        with count_levels(0):
+            X = PredictorMatrix([rng.normal(size=200), np.round(rng.normal(size=200), 1)])
+            index = presort(X)
+        assert build_cutpoint_grid(X, index, budget=20).ladder is None
+        # a node scoring its tie-free column alone still takes the ladder
+        assert build_cutpoint_grid(X, index[[0]], budget=20, variables=[0]).ladder is not None
 
 
 class _FixedUniform:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_KINDS, count_levels, tree_depth, walk_tree
+from conftest import COLUMN_KINDS, count_levels, stack_block, tree_depth, walk_tree
+from xbart import data as data_module
+from xbart import splitting
 from xbart import tree as tree_module
 from xbart.data import _COUNT_LEVELS, PredictorMatrix, presort
 from xbart.errors import DataError, ModelFormatError
@@ -349,6 +351,56 @@ class TestGrow:
             assert a.var.tobytes() == b.var.tobytes()
             assert a.value.tobytes() == b.value.tobytes()
             assert fa.tobytes() == fb.tobytes()
+
+    @pytest.mark.parametrize("mtry", [None, 2])
+    def test_ladder_segment_and_blocked_scans_grow_the_same_tree(self, monkeypatch, mtry):
+        # with the cut-off at 0 the tied column 1 is sorted: a node that
+        # scores it sums by segments, one that scores tie-free columns alone
+        # scores its ladder block; then every grid drops its ladder, and then
+        # every stack is walked one or two rows at a time
+        rng = np.random.default_rng(31)
+        n = 400
+        with count_levels(0):
+            X = PredictorMatrix(
+                [rng.normal(size=n), np.round(rng.normal(size=n), 1)]
+                + [rng.normal(size=n) for _ in range(3)]
+            )
+            index = presort(X)
+        resid = np.sin(2 * X.columns[0]) + X.columns[1] + rng.normal(size=n)
+        weights = None if mtry is None else np.full(5, 0.2)
+        params = _params(mtry=mtry, n_cutpoints=30)
+        calls = {"_ladder_scores": 0, "_sorted_left_sums": 0}
+        for name in calls:
+            def spy(*args, _name=name, _run=getattr(splitting, name)):
+                calls[_name] += 1
+                return _run(*args)
+            monkeypatch.setattr(splitting, name, spy)
+
+        def grow():
+            fitted = np.full(n, np.nan)
+            tree = _grow(
+                X, resid, seed=8, sigma2=0.5, params=params, index=index,
+                var_weights=weights, fitted_out=fitted,
+            )
+            return tree, fitted
+
+        a, fa = grow()
+        assert a.n_nodes > 5 and 1 in a.var
+        assert calls["_sorted_left_sums"] > 0
+        assert (calls["_ladder_scores"] > 0) == (mtry is not None)
+        sorted_candidates = data_module._sorted_candidates
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                data_module, "_sorted_candidates", lambda *a: (*sorted_candidates(*a)[:3], None)
+            )
+            segment = grow()
+        for entries in (n, 2 * n - 1):
+            with stack_block(entries):
+                blocked = grow()
+            for b, fb in (segment, blocked):
+                assert a.var.tobytes() == b.var.tobytes()
+                assert a.value.tobytes() == b.value.tobytes()
+                assert fa.tobytes() == fb.tobytes()
 
     def test_bad_variances_rejected(self):
         X = PredictorMatrix([[0.0, 1.0]])
