@@ -9,6 +9,7 @@ shown in the human table only.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -138,7 +139,10 @@ def run_bench(
     if workers == 1:
         results = [_timed_rep(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned workers import the package afresh instead of forking the
+        # parent's threads and locks
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             results = list(pool.map(_timed_rep, work))
     results.sort(key=lambda r: r.rep)
     return BenchReport(

@@ -10,15 +10,15 @@ outside the node left out: the node's row ids sorted by the column, ties
 broken by original row order.
 
 A node's *stack* holds its rows in column-0 order, then its orderings of
-the sorted columns after column 0; counted columns need none.  Two ways
-produce it.  ``sift`` partitions a node's ``(s, m)`` stack into its
-children's, which stay sorted, at O(s·m) per split, a cache-sized block of
-whole stack rows (``_STACK_BLOCK`` entries) at a time.  ``node_orders``
-filters the ``(k, m)`` orderings of just the ``k`` sorted columns a node
-scores from the root stack, at O(k·n) per node; a tree whose nodes score
-few of many columns takes that path, and its nodes carry only their row
-ids.  The grid and the scan take one ordering row per scored sorted column
-either way (`stack_rows`).
+the sorted columns after column 0; counted columns need none.  ``sift``
+partitions a node's ``(s, m)`` stack into its children's, which stay
+sorted, at O(s·m) per split, a cache-sized block of whole stack rows
+(``_STACK_BLOCK`` entries) at a time.  A tree whose nodes score few of many
+columns keeps only row 0 of each node's stack, so its splits sift one row,
+and ``node_orders`` filters the ``(k, m)`` orderings of just the ``k``
+sorted columns a node scores from the root stack, at O(k·n) per node.  The
+grid and the scan take one ordering row per scored sorted column either way
+(`stack_rows`).
 
 A tie-free column's order is unique, so ``presort`` sorts it with numpy's
 fast default argsort; a tied sorted column, and column 0 when it is
@@ -370,8 +370,6 @@ def stack_rows(X: PredictorMatrix, variables: np.ndarray | None = None) -> np.nd
     node's rows, when every scored column is counted.
     """
     levels = X.level_codes()
-    if not levels.columns.size:
-        return levels.sorted_columns if variables is None else np.asarray(variables)
     counted = levels.counted if variables is None else levels.counted[variables]
     rows = (levels.stack_row if variables is None else levels.stack_row[variables])[~counted]
     return rows if rows.size or not counted.any() else np.zeros(1, dtype=np.intp)
@@ -482,6 +480,12 @@ class CutpointGrid:
     every scored column is tie-free: the candidates are then a block of one
     row per column and one entry per ladder rank, which `scan_candidates`
     scores as such.  It is None when a scored column has ties or is counted.
+
+    ``keys`` places the candidates in sorted columns in the node stack that
+    the grid was built from, when ``ladder`` is None: ``keys[i]`` is ``row *
+    m + rank`` for the ``i``-th of them, in grid order, where ``row`` is the
+    stack row that orders the node's ``m`` rows by its column.  It is None
+    on a ladder grid and on a grid of counted columns alone.
     """
 
     var_ids: np.ndarray
@@ -490,6 +494,7 @@ class CutpointGrid:
     levels: np.ndarray | None = None
     codes: np.ndarray | None = None
     ladder: np.ndarray | None = None
+    keys: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.var_ids.size
@@ -522,7 +527,8 @@ def build_cutpoint_grid(
     The columns that `X.tie_free_columns` marks are continuous, so they all
     share the node's one ladder and keep its ranks without gathering their
     values; when every scored column is one of them, the grid keeps the
-    ladder's ranks as ``ladder`` for the scan.  The values of the other
+    ladder's ranks as ``ladder`` for the scan, and otherwise it places each
+    sorted candidate in ``index`` by its ``keys``.  The values of the other
     sorted columns are gathered at once, and their run ends are found in
     one pass over that gather.  The levels
     of all counted columns are counted with one `np.bincount` over the codes
@@ -574,9 +580,13 @@ def build_cutpoint_grid(
         )
         if not sorted_vars.size:
             return grid
-    var_ids, ranks, values, ladder = _sorted_candidates(X, index, sorted_vars, count, j, lo, hi)
+    var_ids, ranks, values, ladder, keys = _sorted_candidates(
+        X, index, sorted_vars, count, j, lo, hi
+    )
     if grid is None:
-        return CutpointGrid(var_ids, ranks, values, ladder=ladder)
+        return CutpointGrid(var_ids, ranks, values, ladder=ladder, keys=keys)
+    if keys is None:  # the keys of the ladder block, row by row
+        keys = (np.arange(sorted_vars.size)[:, None] * m + ladder).ravel()
     # interleave both groups by position in variables, then rank
     pos = np.arange(X.p)
     if variables is not None:
@@ -596,12 +606,14 @@ def build_cutpoint_grid(
             )
         ),
         grid.codes,
+        keys=keys,
     )
 
 
 def _sorted_candidates(X, index, variables, count, j, lo, hi):
-    """``(var_ids, ranks, values, ladder)`` of the sorted columns
-    ``variables``, whose node orders are the rows of ``index``."""
+    """``(var_ids, ranks, values, ladder, keys)`` of the sorted columns
+    ``variables``, whose node orders are the rows of ``index``: ``ladder``
+    when they are all tie-free, else ``keys``, and the other None."""
     m = index.shape[1]
     tied = np.flatnonzero(~X.tie_free_columns()[variables])
     # the tie-free columns keep the in-range ranks of the one continuous ladder
@@ -611,7 +623,7 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
         # the candidates are a (columns, ranks) block, row by row
         var_ids = variables.repeat(kept.size)
         values = X.columns.take(var_ids * X.n + index[:, kept].ravel())
-        return var_ids, np.tile(kept, variables.size), values + 0.0, kept
+        return var_ids, np.tile(kept, variables.size), values + 0.0, kept, None
     # candidate keys ``row of index * m + rank``
     free = np.ones(variables.size, dtype=bool)
     free[tied] = False
@@ -637,7 +649,7 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
     var_ids = variables[keys // m]
     # adding 0.0 turns a -0.0 cut into +0.0 and leaves every other value as is
     values = X.columns.take(var_ids * X.n + index.take(keys)) + 0.0
-    return var_ids, keys % m, values, None
+    return var_ids, keys % m, values, None, keys
 
 
 def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:

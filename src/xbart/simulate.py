@@ -90,8 +90,8 @@ def gen_noise(
     """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"unknown noise family {kind!r}")
-    if kappa < 0:
-        raise ConfigError(f"kappa must be >= 0, got {kappa}")
+    if not 0 <= kappa < np.inf:
+        raise ConfigError(f"kappa must be finite and >= 0, got {kappa}")
     f_values = np.asarray(f_values, dtype=np.float64)
     scale = kappa * np.sqrt(np.var(f_values, ddof=1))
     if kind == "gaussian":
@@ -111,6 +111,10 @@ class DgpSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
+        for name in ("n", "p"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} is not a valid int: {value!r}")
         if self.function not in MEAN_FUNCTIONS:
             raise ConfigError(
                 f"unknown mean function {self.function!r}, pick from {MEAN_FUNCTIONS}"
@@ -127,8 +131,8 @@ class DgpSpec:
             raise ConfigError(f"factor design needs p divisible by 5, got {self.p}")
         if self.noise not in NOISE_KINDS:
             raise ConfigError(f"unknown noise family {self.noise!r}")
-        if self.kappa < 0:
-            raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:
+            raise ConfigError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     def label(self) -> str:
         return (

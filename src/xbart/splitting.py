@@ -109,19 +109,15 @@ def scan_candidates(
     alpha: float,
     beta: float,
     total: float | None = None,
-    variables: np.ndarray | None = None,
 ) -> CandidateScores:
     """Score every grid candidate from the node's residuals.
 
-    ``index`` and ``variables`` are the rows of the node's stack and the
-    scored columns the grid was built from (see `build_cutpoint_grid`): row
-    ``i`` of ``index`` orders the node's ``m`` rows by the ``i``-th scored
-    sorted column, and row 0 lists them when every scored column is
-    counted.  The grid must list its candidates grouped by column in the
-    order of ``variables``, ranks ascending within each column and below
-    ``m - 1``, with the ``levels`` of its counted candidates, as
-    `build_cutpoint_grid` emits them: the first candidate of each column is
-    where ``grid.var_ids`` changes.
+    ``index`` holds the rows of the node's stack that the grid was built
+    from (see `build_cutpoint_grid`): row ``i`` orders the node's ``m`` rows
+    by the ``i``-th scored sorted column, and row 0 lists them when every
+    scored column is counted.  The grid lists its candidates as
+    `build_cutpoint_grid` emits them, and ``grid.keys`` places each sorted
+    candidate in ``index``, at flat position ``row * m + rank``.
 
     A sorted column's left-child sums (ranks ``0..rank``) come from a
     residual gather through ``index`` for its ``k`` rows: `np.add.reduceat`
@@ -133,10 +129,10 @@ def scan_candidates(
     residuals stay in cache; each segment lies within one row, so it adds
     the same residuals in the same order whatever the block.  When
     ``grid.ladder`` is set, every scored column has a candidate at each of
-    its ``c`` ranks: the segment sums are then a ``(k, c + 1)`` block with
-    one row-wise prefix sum, and the log and denominator terms, which
-    depend on the counts alone, are computed for the ``c`` ranks and
-    broadcast over the ``k`` columns.
+    its ``c`` ranks: the left children, the right children and the parent
+    are then the columns of one ``(k, 2c + 1)`` block, so the log and
+    denominator terms, which depend on the counts alone, are computed for
+    ``2c + 1`` counts and broadcast over the ``k`` columns.
 
     A counted column's left-child sums come from one weighted
     `np.bincount` of the node's residuals by level, over all counted
@@ -152,46 +148,36 @@ def scan_candidates(
     if total is None:
         total = float(residuals[index[0]].sum())
     if grid.ladder is not None:
-        return _ladder_scores(index, residuals, grid, sigma2, tau, depth, alpha, beta, total)
-    var_ids, ranks, levels = grid.var_ids, grid.ranks, grid.levels
-    n_cand = ranks.size
-    if levels is None:
-        s_left = _sorted_left_sums(X, index, residuals, var_ids, ranks, variables)
+        sums = _ladder_sums(index, residuals, grid.ladder, total)
+        n_left = grid.ladder + 1
     else:
-        counted = levels >= 0
-        if counted.all():
+        levels = grid.levels
+        if levels is None:
+            s_left = _sorted_left_sums(index, residuals, grid.keys)
+        elif (counted := levels >= 0).all():
             s_left = _counted_left_sums(X, index[0], residuals, grid, levels)
         else:
-            s_left = np.empty(n_cand)
+            s_left = np.empty(len(grid))
             s_left[counted] = _counted_left_sums(X, index[0], residuals, grid, levels[counted])
-            s_left[~counted] = _sorted_left_sums(
-                X, index, residuals, var_ids[~counted], ranks[~counted], variables
-            )
-    n_left = ranks + 1
+            s_left[~counted] = _sorted_left_sums(index, residuals, grid.keys)
+        sums = np.concatenate((s_left, total - s_left, (total,)))
+        n_left = grid.ranks + 1
     # the left children, the right children and the parent in one call
-    loglik = node_marginal_loglik(
-        np.concatenate((s_left, total - s_left, (total,))),
-        np.concatenate((n_left, m - n_left, (m,))),
-        sigma2,
-        tau,
-    )
-    no_split = no_split_log_weight(n_cand, depth, alpha, beta) + loglik[-1]
+    c = n_left.size
+    loglik = node_marginal_loglik(sums, np.concatenate((n_left, m - n_left, (m,))), sigma2, tau)
     return CandidateScores(
         grid=grid,
-        log_scores=loglik[:n_cand] + loglik[n_cand:-1],
-        no_split_log_score=no_split,
+        log_scores=(loglik[..., :c] + loglik[..., c:-1]).ravel(),
+        no_split_log_score=no_split_log_weight(len(grid), depth, alpha, beta) + loglik.flat[-1],
         depth=depth,
     )
 
 
-def _ladder_scores(index, residuals, grid, sigma2, tau, depth, alpha, beta, total):
-    """`scan_candidates` for a grid whose candidates are all on its shared
-    ``ladder``: the left children, the right children and the parent are
-    columns of one ``(k, 2c + 1)`` block for ``k`` columns and ``c`` ladder
-    ranks, so the terms of `node_marginal_loglik` that depend on the counts
-    alone are computed for ``2c + 1`` counts, not for every candidate."""
+def _ladder_sums(index, residuals, ladder, total):
+    """The ``(k, 2c + 1)`` block of node sums for ``k`` columns that all have
+    candidates at the ``c`` ranks of ``ladder``: each row holds its column's
+    left-child sums, then the right children's, then the parent's ``total``."""
     k, m = index.shape
-    ladder = grid.ladder
     c = ladder.size
     # each row's first entry, then one past every rank; the segment after
     # the last rank runs to the row's end and is dropped
@@ -201,17 +187,7 @@ def _ladder_scores(index, residuals, grid, sigma2, tau, depth, alpha, beta, tota
     np.cumsum(segments[:, :c], axis=1, out=sums[:, :c])
     np.subtract(total, sums[:, :c], out=sums[:, c:-1])
     sums[:, -1] = total
-    n_left = ladder + 1
-    loglik = node_marginal_loglik(
-        sums, np.concatenate((n_left, m - n_left, (m,))), sigma2, tau
-    )
-    no_split = no_split_log_weight(len(grid), depth, alpha, beta) + loglik[0, -1]
-    return CandidateScores(
-        grid=grid,
-        log_scores=(loglik[:, :c] + loglik[:, c:-1]).ravel(),
-        no_split_log_score=no_split,
-        depth=depth,
-    )
+    return sums
 
 
 def _segment_sums(index, residuals, bounds):
@@ -246,33 +222,24 @@ def _segment_sums(index, residuals, bounds):
     return out
 
 
-def _sorted_left_sums(X, index, residuals, var_ids, ranks, variables):
-    """Left-child sums of candidates in sorted columns, by segment sums."""
+def _sorted_left_sums(index, residuals, keys):
+    """Left-child sums of the sorted candidates at flat positions ``keys``
+    of ``index``, ascending, by segment sums."""
     m = index.shape[1]
-    n_cand = ranks.size
-    new_col = np.concatenate(([True], var_ids[1:] != var_ids[:-1]))
+    n_cand = keys.size
+    at_row = keys // m
+    new_col = np.concatenate(([True], at_row[1:] != at_row[:-1]))
     starts = np.flatnonzero(new_col)
     k = starts.size
-    # the index row of each column that has candidates
-    at_row = var_ids[starts]
-    levels = X.level_codes()
-    if variables is not None or levels.columns.size:
-        scored = levels.sorted_columns if variables is None else np.asarray(variables)
-        if variables is not None and levels.columns.size:
-            scored = scored[~levels.counted[scored]]
-        row_of = np.empty(X.p, dtype=np.intp)
-        row_of[scored] = np.arange(scored.size)
-        at_row = row_of[at_row]
     # position of each candidate's column among those with candidates
     row = np.cumsum(new_col) - 1
     # segment bounds: each column's first entry, then one past every
     # candidate rank; the segment after a column's last candidate runs to
     # the next column and is dropped
-    col_pos = np.arange(k)
     at_cand = np.arange(n_cand) + row + 1
     bounds = np.empty(n_cand + k, dtype=np.intp)
-    bounds[starts + col_pos] = at_row * m
-    bounds[at_cand] = at_row[row] * m + ranks + 1
+    bounds[starts + np.arange(k)] = at_row[starts] * m
+    bounds[at_cand] = keys + 1
     segments = _segment_sums(index, residuals, bounds).take(at_cand - 1)
     # prefix sums within each column, over a (k, most candidates) block
     slot = np.arange(n_cand) - starts[row]

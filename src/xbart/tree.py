@@ -234,12 +234,13 @@ def grow_tree(
     node's rows sorted by each scored sorted column (see `LevelCodes`);
     counted columns need only the rows.  When ``var_weights`` is given and
     ``params.mtry`` is at most a quarter of the ``p`` columns, a node holds
-    only its row ids, in the order of the root's column 0, and
+    only the first row of its stack, its rows in column-0 order, and
     `node_orders` filters the drawn sorted columns' orders from the root
-    stack (O(mtry·n) per node); a split divides the row ids with one
-    compare.  Every other tree sifts each node's ``(s, m)`` stack into its
-    children's (O(s·m) per split).  Both paths give the same orders, sums
-    and draws; the leaf sums run over the rows in column-0 order either way.
+    stack (O(mtry·n) per node).  Every other tree holds each node's whole
+    ``(s, m)`` stack.  Either way `sift` splits the node's stack into its
+    children's (O(m) or O(s·m) per split), and both paths give the same
+    orders, sums and draws; the leaf sums run over the rows in column-0
+    order either way.
 
     Parameters
     ----------
@@ -268,18 +269,18 @@ def grow_tree(
     every = slice(int(stack_rows(X)[0]), None)
     var_l: list[int] = []
     value_l: list[float] = []
-    # (node, depth), where a node is its row ids in column-0 order when
-    # filtering and its stack otherwise; the left child is pushed last so it
-    # is grown first, which keeps the nodes in pre-order
-    stack = [(index[0] if filtering else index, 0)]
+    # (node, depth), where a node is its stack, or only its first row when
+    # filtering; the left child is pushed last so it is grown first, which
+    # keeps the nodes in pre-order
+    stack = [(index[:1] if filtering else index, 0)]
     while stack:
         node, depth = stack.pop()
-        rows = node if filtering else node[0]
+        rows = node[0]
         m = rows.size
         total = float(residuals[rows].sum())
         choice = None
         if depth < params.max_depth - 1 and m >= max(2, 2 * params.min_node_size):
-            chosen, orders = None, None if filtering else node[every]
+            chosen, orders = None, node[every]
             if var_weights is not None:
                 chosen = np.sort(
                     rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
@@ -301,7 +302,6 @@ def grow_tree(
                     params.alpha,
                     params.beta,
                     total=total,
-                    variables=chosen,
                 )
                 choice = sample_cutpoint(scores, rng)
         if choice is None:
@@ -312,11 +312,7 @@ def grow_tree(
             continue
         var_l.append(choice.var)
         value_l.append(choice.value)
-        if filtering:
-            goes_left = X.columns[choice.var].take(rows) <= choice.value
-            left, right = rows.compress(goes_left), rows.compress(~goes_left)
-        else:
-            left, right = sift(X, node, choice.var, choice.value)
+        left, right = sift(X, node, choice.var, choice.value)
         stack.append((right, depth + 1))
         stack.append((left, depth + 1))
     return Tree(var_l, value_l)

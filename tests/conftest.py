@@ -69,6 +69,12 @@ def stack_columns(X) -> np.ndarray:
     return np.flatnonzero(X.level_codes().stack_row >= 0)
 
 
+def ladder_keys(index, ladder) -> np.ndarray:
+    """`CutpointGrid.keys` of a ladder block over the rows of ``index``: every
+    row's candidates at the ``ladder`` ranks, row by row."""
+    return (np.arange(index.shape[0])[:, None] * index.shape[1] + ladder).ravel()
+
+
 def column_orders(X, rows) -> np.ndarray:
     """Every column's order of the node ``rows``: a stable sort of the row
     ids by value, ties (signed zeros included) in row-id order."""

@@ -41,13 +41,13 @@ class TestRunBench:
         assert serial.canonical_report() == parallel.canonical_report()
 
     def test_pool_never_outnumbers_the_reps(self, monkeypatch):
-        # the pool forks every worker it is asked for up front; a fake pool
+        # the pool starts every worker it is asked for up front; a fake pool
         # records the request and maps serially, so no process starts
         requested = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                requested.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -60,10 +60,10 @@ class TestRunBench:
 
         monkeypatch.setattr("xbart.bench.ProcessPoolExecutor", SerialPool)
         report = _tiny_bench(seed=3, reps=2, jobs=64)
-        assert requested == [2]
+        assert requested == [(2, "spawn")]
         assert report.canonical_report() == _tiny_bench(seed=3, reps=2).canonical_report()
         _tiny_bench(seed=3, reps=1, jobs=64)
-        assert requested == [2]  # one rep runs inline
+        assert requested == [(2, "spawn")]  # one rep runs inline
 
     def test_invalid_run_arguments(self):
         spec = DgpSpec("max", n=80, p=3)

@@ -249,6 +249,11 @@ class TestErrorHandling:
         assert code == 2
         assert "params.n_trees" in capsys.readouterr().err
 
+    def test_non_finite_kappa_is_named(self, capsys):
+        code = main(["bench", "--dgp", "max", "--n", "50", "--p", "3", "--kappa", "nan"])
+        assert code == 2
+        assert "kappa" in capsys.readouterr().err
+
     def test_invalid_dgp_width(self, capsys):
         code = main(
             ["bench", "--dgp", "single_index", "--n", "50", "--p", "3",

@@ -439,6 +439,47 @@ class TestCutpointGrid:
         for grid in grids[1:]:
             assert_same_grid(grid, grids[0])
 
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_keys_place_every_sorted_candidate_in_its_stack_row(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        p = data.draw(st.integers(4, 7))
+        n = data.draw(st.integers(4, 120))
+        seed = data.draw(st.integers(0, 2**16))
+        budget = data.draw(st.integers(1, 40))
+        min_node_size = data.draw(st.integers(1, 3))
+        go_left, var = data.draw(st.booleans()), data.draw(st.integers(0, p - 1))
+        pick = data.draw(st.integers(0, 10**6))
+        order = data.draw(st.permutations(range(p)))
+        n_scored = data.draw(st.none() | st.integers(1, p))
+        variables = None if n_scored is None else np.array(order[:n_scored])
+        X, root = layout_matrix(layout, np.random.default_rng(seed), p, n)
+        node = root
+        values = np.unique(X.columns[var])
+        if values.size > 1:
+            node = sift(X, root, var, values[pick % (values.size - 1)])[0 if go_left else 1]
+        wanted = stack_rows(X, variables)
+        index = node_orders(root, node[0], wanted) if layout == "filtered" else node[wanted]
+        grid = build_cutpoint_grid(X, index, budget, min_node_size, variables)
+        if grid.ladder is not None:
+            assert grid.keys is None
+            return
+        # the row of index that orders each scored sorted column
+        scored = np.arange(p) if variables is None else variables
+        scored = scored[~X.level_codes().counted[scored]]
+        row_of = np.full(p, -1)
+        row_of[scored] = np.arange(scored.size)
+        in_stack = np.ones(len(grid), dtype=bool) if grid.levels is None else grid.levels < 0
+        var_ids, ranks = grid.var_ids[in_stack], grid.ranks[in_stack]
+        # a grid of counted columns alone has no sorted candidate and no keys
+        keys = np.zeros(0, dtype=np.intp) if grid.keys is None else grid.keys
+        m = index.shape[1]
+        assert keys.shape == var_ids.shape
+        assert np.array_equal(keys % m, ranks)
+        assert np.array_equal(keys // m, row_of[var_ids])
+        cuts = X.columns[var_ids, index.ravel()[keys]] + 0.0
+        assert cuts.tobytes() == grid.values[in_stack].tobytes()
+
     def test_columns_with_the_cut_off_levels_are_counted(self):
         # 7 and 8 levels against a cut-off of 7, in a strided node
         rng = np.random.default_rng(12)

@@ -126,6 +126,9 @@ class TestNoise:
             gen_noise("cauchy", 1.0, f, np.random.default_rng(0))
         with pytest.raises(ConfigError):
             gen_noise("gaussian", -0.5, f, np.random.default_rng(0))
+        for kappa in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="kappa"):
+                gen_noise("gaussian", kappa, f, np.random.default_rng(0))
 
 
 class TestDgpSpec:
@@ -142,11 +145,24 @@ class TestDgpSpec:
             {"function": "linear", "n": 100, "p": 12, "predictors": "factor"},
             {"function": "linear", "n": 100, "p": 10, "noise": "uniform"},
             {"function": "linear", "n": 100, "p": 10, "kappa": -1.0},
+            {"function": "max", "n": 10, "p": 3, "kappa": float("nan")},
+            {"function": "max", "n": 10, "p": 3, "kappa": float("inf")},
+            {"function": "max", "n": 2.5, "p": 3},
+            {"function": "max", "n": True, "p": 3},
+            {"function": "max", "n": 10, "p": np.int64(3)},
         ],
     )
     def test_invalid_configurations(self, kw):
         with pytest.raises(ConfigError):
             DgpSpec(**kw)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kappa", float("nan")), ("kappa", float("inf")), ("n", 2.5), ("n", True), ("p", 3.0)],
+    )
+    def test_the_error_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            DgpSpec(**{"function": "max", "n": 10, "p": 3, field: value})
 
 
 class TestMakeDataset:

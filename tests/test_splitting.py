@@ -13,6 +13,7 @@ from conftest import (
     LAYOUTS,
     count_levels,
     empirical_split_criterion,
+    ladder_keys,
     layout_matrix,
     naive_candidate_scores,
     quad_node_loglik,
@@ -217,7 +218,7 @@ class TestScan:
             resid = rng.normal(size=m) * scale
             scores = scan_candidates(
                 X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
-                alpha=0.95, beta=1.25, variables=variables,
+                alpha=0.95, beta=1.25,
             )
             expect = naive_candidate_scores(
                 cols,
@@ -241,7 +242,7 @@ class TestScan:
         grid = build_cutpoint_grid(X, index[variables], budget=6, variables=variables)
         scores = scan_candidates(
             X, index[variables], resid, grid, sigma2=1.0, tau=1.0, depth=0,
-            alpha=0.95, beta=1.25, variables=variables,
+            alpha=0.95, beta=1.25,
         )
         expect = naive_candidate_scores(
             cols,
@@ -293,10 +294,9 @@ class TestScan:
             np.testing.assert_allclose(scaled, base, rtol=1e-9, atol=1e-12)
 
 
-def _score(X, orders, resid, grid, variables=None):
+def _score(X, orders, resid, grid):
     return scan_candidates(
-        X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1,
-        alpha=0.95, beta=1.25, variables=variables,
+        X, orders, resid, grid, sigma2=0.9, tau=0.4, depth=1, alpha=0.95, beta=1.25
     )
 
 
@@ -344,9 +344,9 @@ class TestBlockedScan:
         resid = rng.normal(size=n)
         m = orders.shape[1]
         with stack_block(2**62):
-            whole = _score(X, orders, resid, grid, variables)
+            whole = _score(X, orders, resid, grid)
         with stack_block(rows_per_block * m + pick % m):
-            blocked = _score(X, orders, resid, grid, variables)
+            blocked = _score(X, orders, resid, grid)
         _assert_same_scores(blocked, whole)
         np.testing.assert_allclose(
             blocked.log_scores, _naive(X, node[0], resid, grid), rtol=1e-10, atol=1e-10
@@ -357,10 +357,11 @@ class TestLadderScan:
     """A grid whose scored sorted columns are all tie-free scores its
     ladder block exactly as the per-candidate segment path does."""
 
-    def _check(self, X, orders, resid, grid, variables=None):
-        assert grid.ladder is not None and len(grid)
-        got = _score(X, orders, resid, grid, variables)
-        _assert_same_scores(got, _score(X, orders, resid, replace(grid, ladder=None), variables))
+    def _check(self, X, orders, resid, grid):
+        assert grid.ladder is not None and grid.keys is None and len(grid)
+        got = _score(X, orders, resid, grid)
+        segment = replace(grid, ladder=None, keys=ladder_keys(orders, grid.ladder))
+        _assert_same_scores(got, _score(X, orders, resid, segment))
         np.testing.assert_allclose(
             got.log_scores, _naive(X, orders[0], resid, grid), rtol=1e-10, atol=1e-10
         )
@@ -382,7 +383,7 @@ class TestLadderScan:
         grid = build_cutpoint_grid(X, orders, budget, min_node_size, variables)
         if not len(grid):
             return
-        self._check(X, orders, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4), grid, variables)
+        self._check(X, orders, rng.normal(size=m) * 10.0 ** rng.integers(-3, 4), grid)
 
     @pytest.mark.parametrize("m, budget", [(40, 100), (400, 30)], ids=["every_rank", "strided"])
     @pytest.mark.parametrize("min_node_size", [1, 2, 3, 4])
@@ -401,7 +402,7 @@ class TestLadderScan:
         index = presort(X)
         grid = build_cutpoint_grid(X, index[[1]], budget=10, min_node_size=2, variables=[1])
         assert grid.ladder.tolist() == [1] and len(grid) == 1
-        got = self._check(X, index[[1]], np.array([1.0, -2.0, 0.5, 3.0]), grid, np.array([1]))
+        got = self._check(X, index[[1]], np.array([1.0, -2.0, 0.5, 3.0]), grid)
         expect = node_marginal_loglik(-1.0, 2, 0.9, 0.4) + node_marginal_loglik(3.5, 2, 0.9, 0.4)
         assert got.log_scores == pytest.approx([expect], rel=1e-13)
 
@@ -425,7 +426,7 @@ class TestLadderScan:
             assert grid.ladder is None
             resid = rng.normal(size=m)
             np.testing.assert_allclose(
-                _score(X, orders, resid, grid, variables).log_scores,
+                _score(X, orders, resid, grid).log_scores,
                 _naive(X, orders[0], resid, grid),
                 rtol=1e-10,
                 atol=1e-10,

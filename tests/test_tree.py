@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COLUMN_KINDS, count_levels, stack_block, tree_depth, walk_tree
+from conftest import (
+    COLUMN_KINDS,
+    count_levels,
+    ladder_keys,
+    stack_block,
+    tree_depth,
+    walk_tree,
+)
 from xbart import data as data_module
 from xbart import splitting
 from xbart import tree as tree_module
@@ -310,6 +317,22 @@ class TestGrow:
         assert a.value.tobytes() == b.value.tobytes()
         assert fa.tobytes() == fb.tobytes()
 
+    @pytest.mark.parametrize("mtry", [None, 2, 3], ids=["every_column", "filtered", "sifted"])
+    def test_a_cut_that_does_not_split_the_node_is_rejected(self, monkeypatch, mtry):
+        # a cut at its column's maximum sends every row left; 2 of 8 columns
+        # filter their orders from the root's, 3 of 8 sift the whole stack
+        rng = np.random.default_rng(6)
+        X = PredictorMatrix(rng.normal(size=(8, 50)))
+
+        def at_the_maximum(scores, rng):
+            var = int(scores.grid.var_ids[0])
+            return splitting.SplitChoice(var, X.n - 1, float(X.columns[var].max()))
+
+        monkeypatch.setattr(tree_module, "sample_cutpoint", at_the_maximum)
+        weights = None if mtry is None else np.full(8, 0.125)
+        with pytest.raises(DataError, match="does not split the node"):
+            _grow(X, rng.normal(size=50), params=_params(mtry=mtry), var_weights=weights)
+
     @pytest.mark.parametrize("p, mtry", [(7, None), (7, 3), (8, 2)])
     @pytest.mark.parametrize("min_node_size", [1, 3])
     @pytest.mark.parametrize("first", ["tied", "tie_free"])
@@ -369,7 +392,7 @@ class TestGrow:
         resid = np.sin(2 * X.columns[0]) + X.columns[1] + rng.normal(size=n)
         weights = None if mtry is None else np.full(5, 0.2)
         params = _params(mtry=mtry, n_cutpoints=30)
-        calls = {"_ladder_scores": 0, "_sorted_left_sums": 0}
+        calls = {"_ladder_sums": 0, "_sorted_left_sums": 0}
         for name in calls:
             def spy(*args, _name=name, _run=getattr(splitting, name)):
                 calls[_name] += 1
@@ -387,12 +410,17 @@ class TestGrow:
         a, fa = grow()
         assert a.n_nodes > 5 and 1 in a.var
         assert calls["_sorted_left_sums"] > 0
-        assert (calls["_ladder_scores"] > 0) == (mtry is not None)
+        assert (calls["_ladder_sums"] > 0) == (mtry is not None)
         sorted_candidates = data_module._sorted_candidates
+
+        def without_ladder(X, index, *rest):
+            var_ids, ranks, values, ladder, keys = sorted_candidates(X, index, *rest)
+            if ladder is not None:
+                keys = ladder_keys(index, ladder)
+            return var_ids, ranks, values, None, keys
+
         with monkeypatch.context() as patch:
-            patch.setattr(
-                data_module, "_sorted_candidates", lambda *a: (*sorted_candidates(*a)[:3], None)
-            )
+            patch.setattr(data_module, "_sorted_candidates", without_ladder)
             segment = grow()
         for entries in (n, 2 * n - 1):
             with stack_block(entries):
