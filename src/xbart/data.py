@@ -15,10 +15,12 @@ partitions a node's ``(s, m)`` stack into its children's, which stay
 sorted, at O(s·m) per split, a cache-sized block of whole stack rows
 (``_STACK_BLOCK`` entries) at a time.  A tree whose nodes score few of many
 columns keeps only row 0 of each node's stack, so its splits sift one row,
-and ``node_orders`` filters the ``(k, m)`` orderings of just the ``k``
-sorted columns a node scores from the root stack, at O(k·n) per node.  The
-grid and the scan take one ordering row per scored sorted column either way
-(`stack_rows`).
+and ``node_orders`` builds the ``(k, m)`` orderings of just the ``k``
+sorted columns a node scores from the root stack: a node of fewer than
+``_SORT_SHARE * n`` rows sorts its rows' positions in the root orders
+(`rank_table`), at O(k·m log m), and a larger one filters the root orders,
+at O(k·n).  The grid and the scan take one ordering row per scored sorted
+column either way (`stack_rows`).
 
 A tie-free column's order is unique, so ``presort`` sorts it with numpy's
 fast default argsort; a tied sorted column, and column 0 when it is
@@ -62,6 +64,10 @@ _COPY_BLOCK = 512
 # rows, so that a block's flags, positions and gathered residuals stay in the
 # L2 cache (sweep from 2**14 to 2**18 in BENCH_blocks.json).
 _STACK_BLOCK = 2**16
+
+# `node_orders` sorts the ranks of a node of fewer than this share of the n
+# rows, and filters the root stack for a larger one (BENCH_orders.json).
+_SORT_SHARE = 0.4
 
 # A column with ties and at most this many distinct values is counted at each
 # node instead of sorted (crossover measured in BENCH_levels.json).
@@ -385,7 +391,11 @@ def sift(
     `LevelCodes`; ``var`` need not be one of its columns.  The flag of every
     entry of the stack is looked up once, and each child keeps the entries
     of the flattened stack that its flags select; every row of the output
-    keeps its order, because selection preserves order.
+    keeps its order, because selection preserves order.  A stack of at most
+    ``n / 2`` entries compares the split column's values gathered through
+    it, and a larger one gathers the flags of the whole column's compare, so
+    a small node's split costs O(k·m), not O(n); the two cost the same at
+    about a third to a half of ``n`` entries (``BENCH_orders.json``).
 
     The stack is walked in blocks of ``max(1, _STACK_BLOCK // m)`` whole
     rows, so that a block's flags, selected positions and entries stay in
@@ -407,8 +417,12 @@ def sift(
     """
     k, m = index.shape
     step = max(1, _STACK_BLOCK // m)
-    flags = X.columns[var] <= cut
-    goes_left = flags.take(index[:step]).ravel()
+    if step >= k and 2 * k * m <= X.n:
+        # the same flags from the stack's own values, in at most n/2 compares
+        goes_left = (X.columns[var].take(index) <= cut).ravel()
+    else:
+        flags = X.columns[var] <= cut
+        goes_left = flags.take(index[:step]).ravel()
     n_left = int(np.count_nonzero(goes_left[:m]))
     if n_left == 0 or n_left == m:
         raise DataError(
@@ -439,24 +453,53 @@ def sift(
     return left, right
 
 
-def node_orders(root_index: np.ndarray, rows: np.ndarray, root_rows: np.ndarray) -> np.ndarray:
+def rank_table(root_index: np.ndarray) -> np.ndarray:
+    """The inverse of a root stack: ``ranks[i, root_index[i, r]] = r``.
+
+    Entry ``[i, v]`` is row ``v``'s position in stack row ``i``, in the
+    narrowest unsigned type that holds ``n - 1``, so that `node_orders`
+    sorts a node's ranks as small integers.  Read-only.
+    """
+    s, n = root_index.shape
+    ranks = np.empty((s, n), dtype=np.min_scalar_type(n - 1))
+    positions = np.arange(n, dtype=ranks.dtype)
+    for i in range(s):
+        ranks[i, root_index[i]] = positions
+    ranks.flags.writeable = False
+    return ranks
+
+
+def node_orders(
+    root_index: np.ndarray, ranks: np.ndarray, rows: np.ndarray, root_rows: np.ndarray
+) -> np.ndarray:
     """A node's rows ``root_rows`` of its stack, from the root's stack.
 
     Returns a ``(k, m)`` integer array for the ``k`` entries of
     ``root_rows`` and the node's ``m`` distinct row ids ``rows``: row ``i``
     is ``root_index[root_rows[i]]`` with every row outside the node left
     out, the same array that sifting the root stack down to the node gives
-    in row ``root_rows[i]``.  One membership mask over all ``n`` rows is
-    gathered through the ``k`` root orders, and one ``compress`` keeps the
-    node's entries: O(k·n) whatever the node's size, against O(s·m) for
-    the ``sift`` of a whole stack of ``s`` rows.
+    in row ``root_rows[i]``.  ``ranks`` is `rank_table` of ``root_index``.
+
+    A node of fewer than ``_SORT_SHARE * n`` rows gathers its rows' ranks
+    in each of the ``k`` orders, sorts them, and takes the root stack at
+    the sorted ranks: ranks are distinct, so that is the root order with
+    the other rows left out, at O(k·m log m).  A larger node gathers one
+    membership mask over all ``n`` rows through the ``k`` root orders and
+    keeps its entries with one ``compress``, at O(k·n), which is cheaper
+    there; a node of all ``n`` rows takes the root's orders as they are.
     """
-    member = np.zeros(root_index.shape[1], dtype=bool)
+    n, m = root_index.shape[1], len(rows)
+    if m == n:
+        return root_index.take(root_rows, axis=0)
+    if m < _SORT_SHARE * n:
+        at = (root_rows * n)[:, None]
+        found = ranks.take(at + rows)
+        found.sort(axis=1)
+        return root_index.take(found + at)
+    member = np.zeros(n, dtype=bool)
     member[rows] = True
     orders = root_index.take(root_rows, axis=0)
-    return np.compress(member.take(orders).ravel(), orders.ravel()).reshape(
-        len(root_rows), len(rows)
-    )
+    return np.compress(member.take(orders).ravel(), orders.ravel()).reshape(len(root_rows), m)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import PredictorMatrix, presort
+from .data import PredictorMatrix, presort, rank_table
 from .errors import ConfigError, DataError
-from .tree import Tree, grow_tree
+from .tree import Tree, filters, grow_tree
 
 # exact types accepted for each field annotation (``| None`` aside)
 _FIELD_TYPES = {"int": (int,), "float": (int, float, np.float64), "bool": (bool,)}
@@ -183,6 +183,11 @@ class ForestSampler:
             b_tau=params.b_tau or 0.5 * var_y / params.n_trees,
         )
         self.root_index = presort(X)
+        # built here, not at the first filtering tree, so that the fit
+        # allocates no table-sized array while its nodes come and go
+        self.root_ranks = (
+            rank_table(self.root_index) if filters(p, self.params.mtry) else None
+        )
 
         L = params.n_trees
         # one shared start leaf: no tree is mutated, only replaced
@@ -209,6 +214,7 @@ class ForestSampler:
             self.rng,
             var_weights=self.weights if subsample and self.draws else None,
             fitted_out=self.fitted[h],
+            ranks=self.root_ranks,
         )
         splits = self.trees[h].var
         self.split_counts[h] = np.bincount(splits[splits >= 0], minlength=self.X.p)

@@ -35,10 +35,17 @@ if TYPE_CHECKING:
 
 _LEAF = -1
 
-# The nodes of a tree that scores params.mtry drawn columns filter those
-# columns' orders from the root order when p >= _FILTER_RATIO * mtry, and
-# sift all p columns otherwise (crossover measured in BENCH_subset.json).
-_FILTER_RATIO = 4
+# The nodes of a tree that scores params.mtry drawn columns take those
+# columns' orders from the root stack when p >= _FILTER_RATIO * mtry, and
+# sift all p columns otherwise (crossover measured in BENCH_orders.json).
+_FILTER_RATIO = 3
+
+
+def filters(p: int, mtry: int) -> bool:
+    """Whether a tree whose nodes score ``mtry`` drawn columns of ``p`` takes
+    their orders from the root stack (`node_orders`) instead of sifting the
+    whole stack; such a tree needs the root stack's `rank_table`."""
+    return _FILTER_RATIO * mtry <= p
 
 
 class Tree:
@@ -227,20 +234,22 @@ def grow_tree(
     var_weights: np.ndarray | None = None,
     *,
     fitted_out: np.ndarray,
+    ranks: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree from the root over all rows of ``X``.
 
     A node scores the cutpoint grid of its scored columns, which needs the
     node's rows sorted by each scored sorted column (see `LevelCodes`);
     counted columns need only the rows.  When ``var_weights`` is given and
-    ``params.mtry`` is at most a quarter of the ``p`` columns, a node holds
-    only the first row of its stack, its rows in column-0 order, and
-    `node_orders` filters the drawn sorted columns' orders from the root
-    stack (O(mtry·n) per node).  Every other tree holds each node's whole
-    ``(s, m)`` stack.  Either way `sift` splits the node's stack into its
-    children's (O(m) or O(s·m) per split), and both paths give the same
-    orders, sums and draws; the leaf sums run over the rows in column-0
-    order either way.
+    ``params.mtry`` is at most a third of the ``p`` columns (`filters`),
+    a node holds only the first row of its stack, its rows in column-0
+    order, and `node_orders` takes the drawn sorted columns' orders from the
+    root stack: by sorting the node's ranks in them (O(mtry·m log m)) on a
+    small node, by filtering the root orders (O(mtry·n)) on a large one.
+    Every other tree holds each node's whole ``(s, m)`` stack.  Either way
+    `sift` splits the node's stack into its children's (O(m) or O(s·m) per
+    split), and both paths give the same orders, sums and draws; the leaf
+    sums run over the rows in column-0 order either way.
 
     Parameters
     ----------
@@ -257,6 +266,9 @@ def grow_tree(
     fitted_out : length-n array
         Filled in place with the grown tree's fitted value for every row
         (cheaper than re-evaluating the tree afterwards).
+    ranks : ndarray, shape (s, n), optional
+        `rank_table` of ``index``; a tree that filters raises a `DataError`
+        without it.
 
     Returns the grown tree with all leaf means sampled.
     """
@@ -264,7 +276,9 @@ def grow_tree(
         raise DataError(f"noise variance must be positive and finite, got {sigma2}")
     if not 0.0 <= tau < math.inf:
         raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
-    filtering = var_weights is not None and _FILTER_RATIO * params.mtry <= X.p
+    filtering = var_weights is not None and filters(X.p, params.mtry)
+    if filtering and ranks is None:
+        raise DataError("a tree that filters its node orders needs the root's rank_table")
     # the rows of a node stack that score every column: a view
     every = slice(int(stack_rows(X)[0]), None)
     var_l: list[int] = []
@@ -286,7 +300,7 @@ def grow_tree(
                     rng.choice(X.p, size=params.mtry, replace=False, p=var_weights)
                 )
                 wanted = stack_rows(X, chosen)
-                orders = node_orders(index, rows, wanted) if filtering else node[wanted]
+                orders = node_orders(index, ranks, rows, wanted) if filtering else node[wanted]
             grid = build_cutpoint_grid(
                 X, orders, params.n_cutpoints, params.min_node_size, variables=chosen
             )

@@ -44,6 +44,16 @@ def stack_block(entries):
         yield
 
 
+@contextlib.contextmanager
+def sort_share(share):
+    """Sort the ranks in `node_orders` for nodes of fewer than ``share * n``
+    rows and filter the root stack for larger ones: 0 always filters, and a
+    share above 1 always sorts."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_SORT_SHARE", share)
+        yield
+
+
 # node stacks for the blocked-walk tests: "sorted" sorts the tied and
 # categorical columns too, "subset" takes the stack rows of a few scored
 # columns and "filtered" their orders from `node_orders`, as a tree that

@@ -12,16 +12,19 @@ from conftest import (
     count_levels,
     layout_matrix,
     reference_grid,
+    sort_share,
     stack_block,
     stack_columns,
 )
 from xbart.data import (
     _COPY_BLOCK,
     _COUNT_LEVELS,
+    _SORT_SHARE,
     PredictorMatrix,
     build_cutpoint_grid,
     node_orders,
     presort,
+    rank_table,
     read_csv_dataset,
     read_csv_features,
     read_schema,
@@ -240,6 +243,26 @@ class TestSift:
         assert left[1].tolist() == root[1][:13].tolist()
         assert right[1].tolist() == root[1][13:].tolist()
 
+    def test_gathered_and_whole_column_compares_split_alike(self):
+        # row 0 alone of a 20-row node holds at most n/2 entries and compares
+        # its gathered values; the node's whole stack holds more and gathers
+        # the flags of the column's compare
+        rng = np.random.default_rng(8)
+        X = PredictorMatrix([COLUMN_KINDS[k](rng, 50) for k in sorted(COLUMN_KINDS)])
+        root = presort(X)
+        node = sift(X, root, 1, np.sort(X.columns[1])[19])[0]
+        assert node.shape == (2, 20)
+        for var in range(X.p):
+            values = np.unique(X.columns[var, node[0]])
+            for cut in (*values[:-1], -0.0, 0.0):
+                if not values[0] <= cut < values[-1]:
+                    continue
+                left_ids = [r for r in node[0].tolist() if X.columns[var, r] <= cut]
+                right_ids = [r for r in node[0].tolist() if X.columns[var, r] > cut]
+                (wl, wr), (ol, or_) = sift(X, node, var, cut), sift(X, node[:1], var, cut)
+                assert ol.tolist() == [left_ids] and or_.tolist() == [right_ids]
+                assert wl[:1].tobytes() == ol.tobytes() and wr[:1].tobytes() == or_.tobytes()
+
     def test_any_stack_of_the_node_is_split_and_checked_on_row_0(self):
         # the split column need not be a row of the stack
         X = PredictorMatrix([[3.0, 1.0, 2.0, 0.0], [0.5, 0.25, 0.75, 1.0]])
@@ -273,7 +296,7 @@ class TestSift:
         if layout == "subset":
             node = node[stack_rows(X, chosen)]
         elif layout == "filtered":
-            node = node_orders(root, node[0], stack_rows(X, chosen))
+            node = node_orders(root, rank_table(root), node[0], stack_rows(X, chosen))
         values = np.unique(X.columns[var, node[0]])
         if values.size < 2:
             return
@@ -297,6 +320,25 @@ class TestSift:
             for cut in (X.columns[3].max(), X.columns[3].min() - 1.0):
                 with pytest.raises(DataError, match=r"on variable 3 does not split the node \(m=40\)"):
                     sift(X, root, 3, cut)
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("layout", ["tie_free", "sorted", "counted"])
+    def test_inverts_every_root_stack_row(self, layout):
+        X, root = layout_matrix(layout, np.random.default_rng(4), 6, 300)
+        ranks = rank_table(root)
+        assert ranks.shape == root.shape and not ranks.flags.writeable
+        for i in range(root.shape[0]):
+            assert ranks[i, root[i]].tolist() == list(range(X.n))
+            assert np.argsort(ranks[i]).tolist() == root[i].tolist()
+
+    @pytest.mark.parametrize("n, dtype", [(65_536, np.uint16), (65_537, np.uint32)])
+    def test_ranks_take_the_narrowest_unsigned_type(self, n, dtype):
+        order = np.random.default_rng(n).permutation(n)[None]
+        ranks = rank_table(order)
+        assert ranks.dtype == dtype
+        assert ranks[0, order[0, -1]] == n - 1
+        assert np.array_equal(ranks[0, order[0]], np.arange(n))
 
 
 class TestNodeOrders:
@@ -331,16 +373,59 @@ class TestNodeOrders:
                     cut = values[pick % (values.size - 1)]
                     block = sift(X, block, var, cut)[0 if go_left else 1]
                 rows = np.array(sorted({r % root.shape[0] for r in chosen}), dtype=np.intp)
-                got = node_orders(root, block[0], rows)
-                assert got.dtype == block.dtype
-                assert got.tobytes() == block[rows].tobytes()
-                assert got.shape == (rows.size, block.shape[1])
+                # always filter, the module's rule, always sort
+                for share in (0.0, _SORT_SHARE, 2.0):
+                    with sort_share(share):
+                        got = node_orders(root, rank_table(root), block[0], rows)
+                    assert got.dtype == block.dtype
+                    assert got.tobytes() == block[rows].tobytes()
+                    assert got.shape == (rows.size, block.shape[1])
+
+    @pytest.mark.parametrize("cutoff", [0, _COUNT_LEVELS])
+    def test_every_node_of_a_full_partition_matches_its_sifted_stack(self, cutoff):
+        # one column of each kind, then a tied column with more levels than
+        # _COUNT_LEVELS, which is sorted at either cut-off
+        rng = np.random.default_rng(21)
+        n = 2_500
+        kinds = sorted(COLUMN_KINDS)
+        columns = [COLUMN_KINDS[k](rng, n) for k in kinds]
+        columns.append(rng.integers(-750, 750, size=n) * 0.5)
+        with count_levels(cutoff):
+            X = PredictorMatrix(columns, categorical=[k == "categorical" for k in kinds] + [False])
+            root = presort(X)
+        assert np.unique(X.columns[-1]).size > _COUNT_LEVELS
+        assert not X.tie_free_columns()[-1] and not X.counted_columns()[-1]
+        ranks = rank_table(root)
+        every = np.arange(root.shape[0])
+        sizes = []
+        nodes = [root]
+        # sift every node at a random cut until no column splits it
+        while nodes:
+            node = nodes.pop()
+            m = node.shape[1]
+            sizes.append(m)
+            for rows in (every, rng.permutation(every)[: rng.integers(1, every.size + 1)]):
+                rows = np.sort(rows)
+                got = node_orders(root, ranks, node[0], rows)
+                assert got.dtype == node.dtype
+                assert got.tobytes() == node[rows].tobytes()
+            for var in rng.permutation(X.p):
+                values = np.unique(X.columns[var, node[0]])
+                if values.size > 1:
+                    nodes.extend(sift(X, node, var, values[rng.integers(values.size - 1)]))
+                    break
+        sizes = np.array(sizes)
+        # the root, 2-row nodes, and nodes on both sides of the crossover
+        assert (sizes == n).sum() == 1 and (sizes == 2).any()
+        assert ((sizes > 2) & (sizes < _SORT_SHARE * n)).any()
+        assert ((sizes >= _SORT_SHARE * n) & (sizes < n)).any()
 
     def test_rows_in_any_order_give_the_same_orders(self):
         X = PredictorMatrix([[3.0, 1.0, 2.0, 1.0, 0.0]])
         root = presort(X)
         for rows in ([1, 2, 3], [3, 1, 2], [2, 3, 1]):
-            assert node_orders(root, np.array(rows), np.array([0])).tolist() == [[1, 3, 2]]
+            got = node_orders(root, rank_table(root), np.array(rows), np.array([0]))
+            assert got.tolist() == [[1, 3, 2]]
 
 
 def assert_same_grid(got, want):
@@ -459,7 +544,10 @@ class TestCutpointGrid:
         if values.size > 1:
             node = sift(X, root, var, values[pick % (values.size - 1)])[0 if go_left else 1]
         wanted = stack_rows(X, variables)
-        index = node_orders(root, node[0], wanted) if layout == "filtered" else node[wanted]
+        if layout == "filtered":
+            index = node_orders(root, rank_table(root), node[0], wanted)
+        else:
+            index = node[wanted]
         grid = build_cutpoint_grid(X, index, budget, min_node_size, variables)
         if grid.ladder is not None:
             assert grid.keys is None

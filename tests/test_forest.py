@@ -195,6 +195,17 @@ class TestSamplerSetup:
         given = Hyperparams(n_trees=8, n_cutpoints=7, mtry=2, b_sigma=0.5, b_tau=0.25)
         assert ForestSampler(X, y, given).params == given
 
+    @pytest.mark.parametrize("mtry, filters", [(None, False), (3, False), (2, True)])
+    def test_rank_table_only_for_trees_that_filter(self, mtry, filters):
+        # 2 of 8 columns filter their orders from the root stack; 3 sift
+        X, y = _toy(p=8)
+        s = ForestSampler(X, y, Hyperparams(n_trees=2, mtry=mtry))
+        if filters:
+            assert s.root_ranks.shape == s.root_index.shape
+            assert np.array_equal(np.argsort(s.root_ranks, axis=1), s.root_index)
+        else:
+            assert s.root_ranks is None
+
     def test_small_n_budget(self):
         X, y = _toy(n=40)
         assert ForestSampler(X, y).params.n_cutpoints == 40

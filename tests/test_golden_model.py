@@ -3,7 +3,7 @@
 Every fit covers tied continuous columns (strided ranks snapped to tie-run
 ends) and categorical columns.  ``seeded_model.json`` scores ``mtry < p``
 columns per node (per-node variable draws from Dirichlet weights), more
-than a quarter of them, so its nodes sift every column;
+than a third of them, so its nodes sift every column;
 ``seeded_model_subset.json`` scores 2 of 10 columns, so after the first
 sweep its nodes filter their drawn columns from the root order;
 ``seeded_model_all_columns.json`` scores every column (``mtry == p``), the

@@ -121,7 +121,7 @@ def _zero_data(seed):
 
 
 # mtry=None scores every column, 1 filters each node's orders from the
-# root's (4 * mtry <= p), and 2 sifts the drawn columns' orders
+# root's (3 * mtry <= p), and 2 sifts the drawn columns' orders
 @pytest.mark.parametrize("mtry", [None, 1, 2])
 @pytest.mark.parametrize("cutoff", [0, _COUNT_LEVELS])
 def test_sign_of_zero_predictors_leaves_the_model_file_unchanged(tmp_path, mtry, cutoff):

@@ -27,6 +27,7 @@ from xbart.data import (
     build_cutpoint_grid,
     node_orders,
     presort,
+    rank_table,
     sift,
     stack_rows,
 )
@@ -337,7 +338,10 @@ class TestBlockedScan:
         if values.size > 1:
             node = sift(X, root, var, values[pick % (values.size - 1)])[0 if go_left else 1]
         wanted = stack_rows(X, variables)
-        orders = node_orders(root, node[0], wanted) if layout == "filtered" else node[wanted]
+        if layout == "filtered":
+            orders = node_orders(root, rank_table(root), node[0], wanted)
+        else:
+            orders = node[wanted]
         grid = build_cutpoint_grid(X, orders, budget, min_node_size, variables)
         if not len(grid):
             return

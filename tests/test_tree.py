@@ -16,7 +16,7 @@ from conftest import (
 from xbart import data as data_module
 from xbart import splitting
 from xbart import tree as tree_module
-from xbart.data import _COUNT_LEVELS, PredictorMatrix, presort
+from xbart.data import _COUNT_LEVELS, PredictorMatrix, presort, rank_table
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import Hyperparams
 from xbart.tree import Tree, grow_tree, sample_leaf_value
@@ -28,9 +28,11 @@ def _params(**kw):
 
 
 def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=None, **kw):
+    index = presort(X) if index is None else index
     kw.setdefault("fitted_out", np.empty(X.n))
+    kw.setdefault("ranks", rank_table(index))
     return grow_tree(
-        X, presort(X) if index is None else index, np.asarray(resid, dtype=float),
+        X, index, np.asarray(resid, dtype=float),
         sigma2, tau, _params() if params is None else params,
         np.random.default_rng(seed) if rng is None else rng,
         **kw,
@@ -287,6 +289,15 @@ class TestGrow:
         )
         assert set(tree.var[tree.var >= 0].tolist()) <= {2}
         assert tree.n_leaves > 1
+
+    def test_a_filtering_tree_needs_the_rank_table(self):
+        rng = np.random.default_rng(12)
+        X = PredictorMatrix(rng.normal(size=(8, 40)))
+        weights = np.full(8, 0.125)
+        with pytest.raises(DataError, match="rank_table"):
+            _grow(X, rng.normal(size=40), params=_params(mtry=2), var_weights=weights, ranks=None)
+        # 3 of 8 columns sift every node and need no table
+        _grow(X, rng.normal(size=40), params=_params(mtry=3), var_weights=weights, ranks=None)
 
     @pytest.mark.parametrize("p, mtry", [(8, 2), (8, 3), (12, 3), (6, 5)])
     def test_filtered_and_sifted_nodes_grow_the_same_tree(self, monkeypatch, p, mtry):
