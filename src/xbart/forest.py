@@ -18,9 +18,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import tree
 from .data import PredictorMatrix, presort, rank_table
 from .errors import ConfigError, DataError
-from .tree import Tree, filters, grow_tree
+from .tree import GridMemo, Tree, filters, grow_tree
 
 # exact types accepted for each field annotation (``| None`` aside)
 _FIELD_TYPES = {"int": (int,), "float": (int, float, np.float64), "bool": (bool,)}
@@ -134,6 +135,12 @@ class ForestSampler:
     Exposed stepwise (``update_tree`` / ``run_sweep``) so tests can observe
     residual bookkeeping and the initialization schedule directly; ``run``
     drives the whole schedule and returns all sweep snapshots.
+
+    ``grid_memo`` is the fit's `GridMemo`: the root's cutpoint grid, built
+    once, and a bounded set of depth-1 grids, shared by every tree that
+    scores all columns.  It is None when ``_GRID_MEMO_BYTES`` is 0, and it
+    is dropped at the first tree that draws its columns, because from then
+    on every tree does.  It lives and dies with the sampler.
     """
 
     def __init__(
@@ -171,6 +178,12 @@ class ForestSampler:
         if not math.isfinite(var_y):
             raise DataError(f"target variance is {var_y} in float64; rescale the target")
         if var_y == 0.0:
+            spread = float(np.ptp(y))
+            if spread > 0.0:
+                raise DataError(
+                    f"target spread {spread:g} has a variance that underflows to 0 "
+                    "in float64; rescale the target"
+                )
             # constant target: keep the variance scales positive
             var_y = 1.0
         # the resolved configuration; validated fields are None or positive,
@@ -188,6 +201,7 @@ class ForestSampler:
         self.root_ranks = (
             rank_table(self.root_index) if filters(p, self.params.mtry) else None
         )
+        self.grid_memo = GridMemo(X, self.params) if tree._GRID_MEMO_BYTES > 0 else None
 
         L = params.n_trees
         # one shared start leaf: no tree is mutated, only replaced
@@ -204,6 +218,11 @@ class ForestSampler:
         """Regrow tree ``h`` against its partial residuals, then redraw sigma^2."""
         partial = self.residual + self.fitted[h]
         subsample = self.params.mtry < self.X.p
+        var_weights = self.weights if subsample and self.draws else None
+        if var_weights is not None:
+            # every later tree draws its columns, and such a tree reads no
+            # grid from the memo
+            self.grid_memo = None
         self.trees[h] = grow_tree(
             self.X,
             self.root_index,
@@ -212,9 +231,10 @@ class ForestSampler:
             self.tau,
             self.params,
             self.rng,
-            var_weights=self.weights if subsample and self.draws else None,
+            var_weights=var_weights,
             fitted_out=self.fitted[h],
             ranks=self.root_ranks,
+            grid_memo=self.grid_memo,
         )
         splits = self.trees[h].var
         self.split_counts[h] = np.bincount(splits[splits >= 0], minlength=self.X.p)

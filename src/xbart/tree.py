@@ -22,11 +22,19 @@ times splits of contiguous byte operations, with no per-node row lists.
 from __future__ import annotations
 
 import math
+import mmap
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import PredictorMatrix, build_cutpoint_grid, node_orders, sift, stack_rows
+from .data import (
+    CutpointGrid,
+    PredictorMatrix,
+    build_cutpoint_grid,
+    node_orders,
+    sift,
+    stack_rows,
+)
 from .errors import DataError, ModelFormatError
 from .splitting import sample_cutpoint, scan_candidates
 
@@ -40,12 +48,156 @@ _LEAF = -1
 # sift all p columns otherwise (crossover measured in BENCH_orders.json).
 _FILTER_RATIO = 3
 
+# Bytes of depth-1 cutpoint grids that a fit's `GridMemo` holds at most; 0
+# disables the memo (policy and budget measured in BENCH_grids.json).
+_GRID_MEMO_BYTES = 2 * 2**20
+
 
 def filters(p: int, mtry: int) -> bool:
     """Whether a tree whose nodes score ``mtry`` drawn columns of ``p`` takes
     their orders from the root stack (`node_orders`) instead of sifting the
     whole stack; such a tree needs the root stack's `rank_table`."""
     return _FILTER_RATIO * mtry <= p
+
+
+# The fields of a grid that a `GridMemo` keeps below the root, with their
+# types, in the order of their copies in its ring; a hit gathers ``codes``
+# again.
+_KEPT = {
+    "var_ids": np.intp,
+    "ranks": np.intp,
+    "values": np.float64,
+    "levels": np.intp,
+    "ladder": np.intp,
+    "keys": np.intp,
+}
+# A kept grid's record starts with its size in bytes and each field's length,
+# -1 for a field that is None.
+_HEADER = 8 * (1 + len(_KEPT))
+
+
+class GridMemo:
+    """The cutpoint grids that recur across the trees of one fit on ``X``
+    with ``params``.
+
+    A node's grid depends only on its rows and on ``n_cutpoints`` and
+    ``min_node_size``, never on the residuals, the variance draws or the
+    generator.  So every tree that scores all columns builds the same grid
+    at the root, which the memo builds once and keeps, counted codes
+    included; and a root split ``x[var] <= cut`` that recurs makes the same
+    children, whose grids it keeps under the key ``(var, cut, side)``, side
+    0 for the left child and 1 for the right.  Deeper nodes are not kept:
+    they rarely recur.
+
+    A depth-1 grid is kept from its first build, without its ``codes``,
+    which a hit gathers again from the node's rows, so that the memo holds
+    no array of node size below the root.  It is kept as one record in a
+    ring of ``budget`` bytes (``_GRID_MEMO_BYTES`` when the memo is made) in
+    one anonymous memory map: a header, then the `_KEPT` fields, integers
+    in the narrowest type that holds any of them (``kinds``).  The
+    oldest records are dropped to make room.  Per kept grid the memo holds
+    only its key and its record's start, and the map goes back to the
+    system whole when the memo is freed.  Small objects and arrays that
+    live through a fit leave holes among the fitted trees' objects when
+    they die, and the saving and loading of the model then allocate into
+    them, about 2% slower on ``tied_many_trees`` (``BENCH_grids.json``).
+
+    ``hits`` and ``misses`` count the lookups of depth-1 grids, and ``held``
+    is the bytes of the ring that the kept records take.
+    """
+
+    def __init__(self, X: PredictorMatrix, params: Hyperparams):
+        self.X = X
+        # the grid's cutpoint budget and minimum child size
+        self.limits = (params.n_cutpoints, params.min_node_size)
+        self.budget = _GRID_MEMO_BYTES
+        # the type of each field's copies: a grid's integers are column ids,
+        # ranks and stack keys below p * n, and level bins from -1 to below
+        # p * (n + 1), n + 1 per column at most
+        int_type = np.min_scalar_type(-X.p * (X.n + 1))
+        self.kinds = [int_type if t is np.intp else np.dtype(t) for t in _KEPT.values()]
+        self.root: CutpointGrid | None = None
+        # key -> start of its record in the ring, oldest first
+        self.starts: dict[tuple, int] = {}
+        self.ring: np.ndarray | None = None
+        self.head = 0
+        self.held = 0
+        self.hits = self.misses = 0
+
+    def grid(self, orders: np.ndarray, key: tuple) -> CutpointGrid:
+        """The grid that scores every column of the node whose stack rows
+        `stack_rows` names are ``orders``: ``key`` is ``()`` at the root and
+        the root split's ``(var, cut, side)`` at depth 1."""
+        if not key:
+            if self.root is None:
+                self.root = build_cutpoint_grid(self.X, orders, *self.limits)
+                for a in vars(self.root).values():
+                    if a is not None:
+                        a.flags.writeable = False
+            return self.root
+        start = self.starts.get(key)
+        if start is None:
+            self.misses += 1
+            grid = build_cutpoint_grid(self.X, orders, *self.limits)
+            self._keep(key, grid)
+            return grid
+        self.hits += 1
+        lengths = self.ring[start : start + _HEADER].view(np.int64).tolist()[1:]
+        arrays = {}
+        at = start + _HEADER
+        for (f, t), kind, n in zip(_KEPT.items(), self.kinds, lengths):
+            if n >= 0:
+                arrays[f] = self.ring[at : at + n * kind.itemsize].view(kind).astype(t)
+                at += _padded(n * kind.itemsize)
+        if "levels" in arrays:
+            # the codes of the node's rows in the order of orders[0], as the
+            # grid of every column gathers them
+            arrays["codes"] = self.X.level_codes().codes.take(orders[0], axis=1)
+        return CutpointGrid(**arrays)
+
+    def _keep(self, key: tuple, grid: CutpointGrid) -> None:
+        fields = [getattr(grid, f) for f in _KEPT]
+        spans = [
+            0 if a is None else _padded(a.size * kind.itemsize)
+            for a, kind in zip(fields, self.kinds)
+        ]
+        size = _HEADER + sum(spans)
+        if size > self.budget:
+            return
+        if self.ring is None:
+            self.ring = np.frombuffer(mmap.mmap(-1, self.budget), dtype=np.uint8)
+        if self.head + size > self.budget:
+            self._drop_before(self.budget + 1)  # the rest of the last lap
+            self.head = 0
+        self._drop_before(self.head + size)
+        start = self.head
+        self.ring[start : start + _HEADER].view(np.int64)[:] = [size] + [
+            -1 if a is None else a.size for a in fields
+        ]
+        at = start + _HEADER
+        for a, kind, span in zip(fields, self.kinds, spans):
+            if a is not None:
+                self.ring[at : at + a.size * kind.itemsize].view(kind)[:] = a
+            at += span
+        self.starts[key] = start
+        self.held += size
+        self.head = start + size
+
+    def _drop_before(self, end: int) -> None:
+        """Drop the records of the last lap that start before ``end``: they
+        are the oldest and lie from the head on, in order."""
+        while self.starts:
+            key, start = next(iter(self.starts.items()))
+            if not self.head <= start < end:
+                return
+            del self.starts[key]
+            self.held -= int(self.ring[start : start + 8].view(np.int64)[0])
+
+
+def _padded(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of 8, so that every copy in a
+    `GridMemo` ring is aligned."""
+    return -(-nbytes // 8) * 8
 
 
 class Tree:
@@ -235,6 +387,7 @@ def grow_tree(
     *,
     fitted_out: np.ndarray,
     ranks: np.ndarray | None = None,
+    grid_memo: GridMemo | None = None,
 ) -> Tree:
     """Grow one tree from the root over all rows of ``X``.
 
@@ -269,6 +422,12 @@ def grow_tree(
     ranks : ndarray, shape (s, n), optional
         `rank_table` of ``index``; a tree that filters raises a `DataError`
         without it.
+    grid_memo : GridMemo, optional
+        The fit's memo of recurring grids, made for ``X`` and ``params``.  A
+        tree that scores every column (``var_weights`` is None) takes its
+        root's grid and its depth-1 nodes' grids from it, keyed by the root
+        split; the grids, and so the draws, are the same as without it.  A
+        tree that draws its columns does not read or write it.
 
     Returns the grown tree with all leaf means sampled.
     """
@@ -281,14 +440,16 @@ def grow_tree(
         raise DataError("a tree that filters its node orders needs the root's rank_table")
     # the rows of a node stack that score every column: a view
     every = slice(int(stack_rows(X)[0]), None)
+    memo = grid_memo if var_weights is None else None
     var_l: list[int] = []
     value_l: list[float] = []
-    # (node, depth), where a node is its stack, or only its first row when
-    # filtering; the left child is pushed last so it is grown first, which
-    # keeps the nodes in pre-order
-    stack = [(index[:1] if filtering else index, 0)]
+    # (node, depth, key), where a node is its stack, or only its first row
+    # when filtering, and key its `GridMemo` key, None below depth 1; the
+    # left child is pushed last so it is grown first, which keeps the nodes
+    # in pre-order
+    stack = [(index[:1] if filtering else index, 0, ())]
     while stack:
-        node, depth = stack.pop()
+        node, depth, key = stack.pop()
         rows = node[0]
         m = rows.size
         total = float(residuals[rows].sum())
@@ -301,9 +462,12 @@ def grow_tree(
                 )
                 wanted = stack_rows(X, chosen)
                 orders = node_orders(index, ranks, rows, wanted) if filtering else node[wanted]
-            grid = build_cutpoint_grid(
-                X, orders, params.n_cutpoints, params.min_node_size, variables=chosen
-            )
+            if memo is not None and key is not None:
+                grid = memo.grid(orders, key)
+            else:
+                grid = build_cutpoint_grid(
+                    X, orders, params.n_cutpoints, params.min_node_size, variables=chosen
+                )
             if len(grid):
                 scores = scan_candidates(
                     X,
@@ -327,6 +491,7 @@ def grow_tree(
         var_l.append(choice.var)
         value_l.append(choice.value)
         left, right = sift(X, node, choice.var, choice.value)
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
+        root = depth == 0
+        stack.append((right, depth + 1, (choice.var, choice.value, 1) if root else None))
+        stack.append((left, depth + 1, (choice.var, choice.value, 0) if root else None))
     return Tree(var_l, value_l)

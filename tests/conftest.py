@@ -8,6 +8,7 @@ from hypothesis import settings
 from scipy import integrate
 
 from xbart import data as data_module
+from xbart import tree as tree_module
 from xbart.data import CutpointGrid, PredictorMatrix, presort
 from xbart.errors import DataError
 
@@ -51,6 +52,16 @@ def sort_share(share):
     share above 1 always sorts."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "_SORT_SHARE", share)
+        yield
+
+
+@contextlib.contextmanager
+def grid_memo(budget):
+    """Keep at most ``budget`` bytes of depth-1 grids in each fit's
+    `GridMemo`; 0 disables the memo.  A sampler reads the budget when it is
+    made, so that call belongs inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "_GRID_MEMO_BYTES", budget)
         yield
 
 

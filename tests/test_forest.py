@@ -3,12 +3,18 @@
 import os
 import subprocess
 import sys
+import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xbart
+from conftest import LAYOUTS, grid_memo, layout_matrix
+from xbart import tree as tree_module
 from xbart.data import PredictorMatrix
 from xbart.errors import ConfigError, DataError
 from xbart.forest import (
@@ -19,6 +25,7 @@ from xbart.forest import (
     update_variable_weights,
 )
 from xbart.model import fit
+from xbart.tree import _GRID_MEMO_BYTES, GridMemo
 
 
 def _toy(n=60, p=3, seed=0):
@@ -226,6 +233,9 @@ class TestSamplerSetup:
         # a variance that overflows is named before it reaches the prior fields
         with pytest.raises(DataError, match="target variance is inf"):
             ForestSampler(X, 1e300 * np.sign(y))
+        # so is one that underflows, which would otherwise fit at scale 1
+        with pytest.raises(DataError, match="target spread .* underflows to 0"):
+            ForestSampler(X, 1e-300 * y)
 
     def test_constant_target_survives(self):
         X, _ = _toy(n=30)
@@ -336,3 +346,135 @@ class TestSweepLoop:
             np.testing.assert_array_equal(s.split_counts[h], splits)
         totals = np.ones(3) + s.split_counts.sum(axis=0)
         np.testing.assert_allclose(s.weights, totals / totals.sum())
+
+
+def _tied(n=200, seed=0):
+    """Tied continuous columns and a categorical one, with a step in column
+    0 that most trees take as their root split."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [
+            np.round(rng.normal(size=n), 1),
+            np.round(rng.uniform(size=n), 2),
+            rng.integers(0, 4, size=n),
+            rng.normal(size=n),
+        ]
+    )
+    y = 6.0 * (X[:, 0] > 0.3) + X[:, 1] + 0.3 * rng.normal(size=n)
+    return PredictorMatrix.from_rows(X, categorical=[False, False, True, False]), y
+
+
+def _model_file(X, y, params, seed) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        fit(X, y, params, seed=seed).save(path)
+        return path.read_bytes()
+
+
+class TestGridMemo:
+    """The per-fit memo of root and depth-1 cutpoint grids is exact and bounded."""
+
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_memo_leaves_the_model_file_unchanged(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        p = data.draw(st.integers(4, 7))
+        n = data.draw(st.integers(20, 150))
+        seed = data.draw(st.integers(0, 2**16))
+        params = Hyperparams(
+            n_trees=4,
+            n_sweeps=3,
+            burnin=0,
+            mtry=data.draw(st.none() | st.integers(1, p)),
+            n_cutpoints=data.draw(st.integers(2, 29)),
+            min_node_size=data.draw(st.integers(1, 3)),
+        )
+        tiny = data.draw(st.integers(1, 20_000))
+        rng = np.random.default_rng(seed)
+        X, _ = layout_matrix(layout, rng, p, n)
+        y = np.where(X.columns[0] > np.median(X.columns[0]), 2.0, 0.0) + rng.normal(size=n)
+        files = []
+        for budget in (0, tiny, _GRID_MEMO_BYTES):
+            with grid_memo(budget):
+                files.append(_model_file(X, y, params, seed))
+        assert files[1] == files[0]
+        assert files[2] == files[0]
+
+    def _count_grid_sizes(self, monkeypatch):
+        sizes = []
+        build = tree_module.build_cutpoint_grid
+
+        def counted(X, index, *args, **kwargs):
+            sizes.append(index.shape[1])
+            return build(X, index, *args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "build_cutpoint_grid", counted)
+        return sizes
+
+    def test_root_is_gridded_once_per_fit(self, monkeypatch):
+        X, y = _tied()
+        params = Hyperparams(n_trees=5, n_sweeps=4, burnin=0)
+        roots = params.n_trees * params.n_sweeps
+        sizes = self._count_grid_sizes(monkeypatch)
+        s = ForestSampler(X, y, params, seed=3)
+        s.run()
+        assert sizes.count(X.n) == 1
+        assert s.grid_memo.hits > 0
+        # every other root and every hit at depth 1 is a grid not built
+        plain = len(sizes) + roots - 1 + s.grid_memo.hits
+        sizes.clear()
+        with grid_memo(0):
+            ForestSampler(X, y, params, seed=3).run()
+        assert sizes.count(X.n) == roots
+        assert len(sizes) == plain
+
+    @pytest.mark.parametrize("budget", [15_000, _GRID_MEMO_BYTES])
+    def test_held_bytes_never_exceed_the_budget(self, budget):
+        X, y = _tied(seed=1)
+        with grid_memo(budget):
+            s = ForestSampler(X, y, Hyperparams(n_trees=6, n_sweeps=4, burnin=0), seed=4)
+        memo = s.grid_memo
+        for _ in range(4):
+            for h in range(6):
+                s.update_tree(h)
+                # each record starts with its size in bytes
+                spans = sorted(
+                    (start, start + int(memo.ring[start : start + 8].view(np.int64)[0]))
+                    for start in memo.starts.values()
+                )
+                assert memo.held == sum(stop - start for start, stop in spans) <= budget
+                assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+        assert memo.hits > 0
+        if budget < _GRID_MEMO_BYTES:
+            assert len(memo.starts) < memo.misses  # some grids were dropped
+
+    @pytest.mark.parametrize("mtry", [1, 2])  # nodes that filter, nodes that sift
+    def test_trees_that_draw_their_columns_leave_the_memo_alone(self, monkeypatch, mtry):
+        X, y = _tied(seed=2)
+        s = ForestSampler(X, y, Hyperparams(n_trees=4, n_sweeps=3, burnin=0, mtry=mtry), seed=5)
+        sweeps = []
+        lookup = GridMemo.grid
+
+        def recorded(memo, *args):
+            sweeps.append(len(s.draws))
+            return lookup(memo, *args)
+
+        monkeypatch.setattr(GridMemo, "grid", recorded)
+        memo = weakref.ref(s.grid_memo)
+        s.run()
+        # only the first sweep scores every column; then the memo is freed
+        assert sweeps and set(sweeps) == {0}
+        assert s.grid_memo is None and memo() is None
+
+    def test_memo_does_not_outlive_the_fit(self, monkeypatch):
+        made = []
+        init = GridMemo.__init__
+
+        def recorded(memo, *args):
+            init(memo, *args)
+            made.append(weakref.ref(memo))
+
+        monkeypatch.setattr(GridMemo, "__init__", recorded)
+        X, y = _tied(seed=3)
+        fit(X, y, Hyperparams(n_trees=3, n_sweeps=3, burnin=1), seed=6)
+        assert len(made) == 1 and made[0]() is None
