@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -22,6 +25,22 @@ from .tree import Tree, parse_finite
 
 _FORMAT = "xbart-model"
 _VERSION = 1
+
+# A batch of fewer rows is evaluated on one thread.  Threads contend for the
+# interpreter lock at every numpy call, and only the part of a call that runs
+# without it overlaps; that part grows with the rows, so the crossover is in
+# rows (40,000 to 64,000 on three benchmark models, whatever their splits),
+# not in rows times splits (BENCH_predict_threads.json).
+_THREAD_ROWS = 64_000
+
+
+def _thread_count(n_draws: int) -> int:
+    """Threads a predict may use: one per allowed core, at most one per draw."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, n_draws)
 
 
 @dataclass
@@ -78,6 +97,13 @@ class FittedModel:
         evaluations of retained snapshot ``k``.  A `PredictorMatrix` is used
         as it is; a bare ``(n, p)`` batch is checked in full, but only its
         split columns are copied.
+
+        A batch of at least `_THREAD_ROWS` rows has its draws evaluated on up
+        to one thread per allowed core, the caller's included, handed out one
+        draw at a time.  Each draw fills its own column with the same
+        left-to-right sum of tree evaluations, so the draws are bit-identical
+        to one thread's.  The helper threads end within the call, and an
+        exception raised in one reaches the caller unchanged.
         """
         if not self.draws:
             raise ModelFormatError("model holds no retained draws")
@@ -87,11 +113,33 @@ class FittedModel:
         else:
             X, trees = self._split_block(X, trees)
         out = np.empty((X.n, len(trees)))
-        for k, draw in enumerate(trees):
-            acc = np.full(X.n, self.y_offset)
-            for tree in draw:
-                acc += tree.predict(X)
-            out[:, k] = acc
+        draws = iter(range(len(trees)))
+        lock = threading.Lock()
+
+        def drain() -> None:
+            # draws go out one at a time, to the caller and its helpers alike
+            while True:
+                with lock:
+                    k = next(draws, None)
+                if k is None:
+                    return
+                acc = np.full(X.n, self.y_offset)
+                for tree in trees[k]:
+                    acc += tree.predict(X)
+                out[:, k] = acc
+
+        helpers = _thread_count(len(trees)) - 1 if X.n >= _THREAD_ROWS else 0
+        if helpers == 0:
+            drain()
+            return out
+        # The caller evaluates draws too, so the pool is one thread short of
+        # the count: each thread's malloc arena keeps the freed temporaries of
+        # its last draw, about 3 MB at 10^5 rows (BENCH_predict_threads.json).
+        with ThreadPoolExecutor(helpers) as pool:
+            running = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for helper in running:
+                helper.result()
         return out
 
     def predict(self, X) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Tests for the repeated-fit benchmark harness."""
 
+import os
+
 import numpy as np
 import pytest
 
+import xbart.model
 from xbart.bench import run_bench
 from xbart.errors import ConfigError
 from xbart.forest import Hyperparams
@@ -39,6 +42,24 @@ class TestRunBench:
         serial = _tiny_bench(seed=3, jobs=1)
         parallel = _tiny_bench(seed=3, jobs=2)
         assert serial.canonical_report() == parallel.canonical_report()
+
+    def test_threaded_predict_does_not_change_results(self, monkeypatch):
+        # a rep scores at most 10^4 rows, below predict's thread crossover,
+        # so the crossover is lowered to send every rep's predict to a pool
+        serial = _tiny_bench(seed=3, jobs=2)
+        opened = []
+        real = xbart.model.ThreadPoolExecutor
+
+        def recording(max_workers):
+            opened.append(max_workers + 1)  # the caller evaluates draws too
+            return real(max_workers)
+
+        monkeypatch.setattr(xbart.model, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(xbart.model, "_THREAD_ROWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threaded = _tiny_bench(seed=3, jobs=1)
+        assert opened == [2, 2, 2]
+        assert threaded.canonical_report() == serial.canonical_report()
 
     def test_pool_never_outnumbers_the_reps(self, monkeypatch):
         # the pool starts every worker it is asked for up front; a fake pool

@@ -1,12 +1,16 @@
 """Tests for fitting, posterior-mean prediction, and the JSON model format."""
 
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import walk_tree
+from conftest import LAYOUTS, layout_matrix, walk_tree
+from xbart import model as model_module
 from xbart.data import _COPY_BLOCK, PredictorMatrix
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import ForestSampler, Hyperparams, SweepDraw
@@ -244,6 +248,133 @@ class TestSplitColumnBlock:
         X[0, 0] = np.nan
         with pytest.raises(DataError, match="model was fitted on 2 columns, got 5$"):
             model.predict_draws(X)
+
+
+class TestThreadedPredict:
+    """Draws evaluated on a thread pool equal the one-thread draws bit for bit."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Send every batch to the pool on three allowed cores, and record how
+        many threads each threaded call uses: its pool's and the caller's."""
+        sizes = []
+        real = model_module.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers + 1)
+            return real(max_workers)
+
+        monkeypatch.setattr(model_module, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(model_module, "_THREAD_ROWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return sizes
+
+    @staticmethod
+    def _one_thread(model, X):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_THREAD_ROWS", 2**62)
+            return model.predict_draws(X)
+
+    @staticmethod
+    def _layout_model(layout, n_draws):
+        p, n = 6, 150
+        rng = np.random.default_rng(LAYOUTS.index(layout) + 10 * n_draws)
+        X, _ = layout_matrix(layout, rng, p, n)
+        y = np.where(X.columns[0] > np.median(X.columns[0]), 2.0, 0.0) + rng.normal(size=n)
+        # "subset" scores three drawn columns per node, "filtered" two, so
+        # the trees of the latter take their orders from the root stack
+        mtry = {"subset": 3, "filtered": 2}.get(layout)
+        params = Hyperparams(n_trees=3, n_sweeps=n_draws + 1, burnin=1, mtry=mtry)
+        batch, _ = layout_matrix(layout, rng, p, 400)
+        return fit(X, y, params, seed=n_draws), batch
+
+    @pytest.mark.parametrize("n_draws", [1, 2, 3, 5])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_matches_one_thread(self, pools, layout, n_draws):
+        model, batch = self._layout_model(layout, n_draws)
+        rows = batch.columns.T.copy()
+        for X in (batch, rows):
+            expect = self._one_thread(model, X)
+            got = model.predict_draws(X)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, expect)
+            assert np.array_equal(model.predict(X), expect.mean(axis=1))
+        # one draw never opens a pool; more open one thread per draw, at
+        # most one per allowed core
+        assert pools == [min(3, n_draws)] * (4 if n_draws > 1 else 0)
+
+    def test_one_allowed_core_stays_on_one_thread(self, pools, monkeypatch):
+        model, batch = self._layout_model("counted", 3)
+        expect = self._one_thread(model, batch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert np.array_equal(model.predict_draws(batch), expect)
+        assert pools == []
+
+    @pytest.mark.parametrize("cpus, opened", [(None, []), (1, []), (2, [2])])
+    def test_cpu_count_stands_in_for_a_missing_affinity_mask(
+        self, pools, monkeypatch, cpus, opened
+    ):
+        model, batch = self._layout_model("tie_free", 3)
+        expect = self._one_thread(model, batch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert np.array_equal(model.predict_draws(batch), expect)
+        assert pools == opened
+
+    def test_worker_error_reaches_the_caller_unchanged(self, pools, monkeypatch):
+        # the failing draw is taken by the caller or by a helper, whichever
+        # comes first, so every draw takes a turn at failing
+        model, batch = self._layout_model("sorted", 5)
+        real = Tree.predict
+        before = threading.active_count()
+        for k, draw in enumerate(model.draws):
+            bad, raised = draw.trees[1], []
+
+            def failing(tree, X):
+                if tree is bad:
+                    raised.append(DataError(f"draw {k} cannot be evaluated"))
+                    raise raised[-1]
+                return real(tree, X)
+
+            monkeypatch.setattr(Tree, "predict", failing)
+            with pytest.raises(DataError, match=f"^draw {k} cannot be evaluated$") as info:
+                model.predict_draws(batch)
+            assert info.value is raised[0]
+            assert threading.active_count() == before
+        assert pools == [3] * 5
+
+    def test_no_thread_outlives_the_call(self, pools):
+        model, batch = self._layout_model("subset", 5)
+        before = threading.active_count()
+        model.predict_draws(batch)
+        model.predict(batch.columns.T)
+        assert pools == [3, 3]
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_under_fast_switching(self, pools, monkeypatch):
+        # every task writes its own columns of the shared output; with more
+        # threads than cores and a switch after almost every bytecode, a
+        # write that strayed into another draw's columns would show
+        model, batch = self._layout_model("counted", 5)
+        expect = self._one_thread(model, batch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                assert np.array_equal(model.predict_draws(batch), expect)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [5] * 4
+
+    def test_small_batches_stay_on_one_thread(self, pools, monkeypatch):
+        model, batch = self._layout_model("tie_free", 5)
+        monkeypatch.setattr(model_module, "_THREAD_ROWS", batch.n + 1)
+        model.predict_draws(batch)
+        assert pools == []
+        monkeypatch.setattr(model_module, "_THREAD_ROWS", batch.n)
+        model.predict_draws(batch)
+        assert pools == [3]
 
 
 class TestFit:
