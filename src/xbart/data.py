@@ -1,10 +1,12 @@
 """Column-oriented training data and the presorted-index machinery.
 
-The tree sampler never re-sorts observations while a tree grows.  Columns
-come in two kinds (`LevelCodes`).  A *counted* column has ties and few
-distinct values: every row gets an integer level code once per fit, and a
-node summarises the column by counting its rows' codes.  Every other column
-is *sorted*: its observation order is computed once at the root
+The tree sampler never re-sorts observations while a tree grows.  What it
+knows about the columns is one `ColumnLayout` per matrix, built at the
+first `PredictorMatrix.layout` call from one ``np.unique`` per tied column.
+Columns come in two kinds.  A *counted* column has ties and few distinct
+values: every row gets an integer level code in the layout, and a node
+summarises the column by counting its rows' codes.  Every other column is
+*sorted*: its observation order is computed once at the root
 (``presort``), and a node's ordering of it is that root order with the rows
 outside the node left out: the node's row ids sorted by the column, ties
 broken by original row order.
@@ -24,8 +26,9 @@ column either way (`stack_rows`).
 
 A tie-free column's order is unique, so ``presort`` sorts it with numpy's
 fast default argsort; a tied sorted column, and column 0 when it is
-counted, is stable-sorted through the small-integer dense ranks of its
-values, which numpy radix-sorts.  Both give the one stable order.
+counted, is stable-sorted through the small-integer ranks of its values
+(`ColumnLayout.tied_ranks`), which numpy radix-sorts.  Both give the one
+stable order.
 
 Cutpoint candidates are expressed as *ranks* into a column's node ordering:
 candidate rank ``h`` for variable ``v`` means the left child takes sorted
@@ -103,6 +106,9 @@ def as_rows(X) -> np.ndarray:
 class PredictorMatrix:
     """Numeric feature table stored column-major with per-column kind flags.
 
+    A fit reads the columns through their `ColumnLayout`, which `layout`
+    builds at its first call; prediction never builds it.
+
     Parameters
     ----------
     columns : ndarray, shape (p, n)
@@ -116,7 +122,7 @@ class PredictorMatrix:
         Marks columns whose distinct values are treated as unordered levels
         for cutpoint-grid purposes.  Stored as a read-only copy.  Default: all
         continuous.
-    names : sequence of str, one per stored column, optional
+    names : sequence of distinct str, one per stored column, optional
         Column names, kept for CSV round-trips and error messages.
     keep : sorted column ids, optional
         Store only these rows of ``columns``; ``FittedModel.predict`` passes
@@ -174,16 +180,17 @@ class PredictorMatrix:
             names = [str(s) for s in names]
             if len(names) != p:
                 raise DataError(f"{len(names)} names for {p} columns")
-        # facts derived from the columns and flags, such as the tie-free
-        # mask, are kept for the object's lifetime, so neither may change
+            first: dict[str, int] = {}
+            for j, name in enumerate(names):
+                if first.setdefault(name, j) != j:
+                    raise DataError(f"names[{j}] is {name!r}, the same as names[{first[name]}]")
+        # the layout derived from the columns and flags is kept for the
+        # object's lifetime, so neither may change
         cols.flags.writeable = categorical.flags.writeable = False
         self.columns = cols
         self.categorical = categorical
         self.names = names
-        self._tie_free: np.ndarray | None = None
-        self._ranks: dict | None = None
-        self._counted: np.ndarray | None = None
-        self._levels: LevelCodes | None = None
+        self._layout: ColumnLayout | None = None
 
     @classmethod
     def from_rows(cls, X, categorical=None, names=None, keep=None) -> "PredictorMatrix":
@@ -202,67 +209,27 @@ class PredictorMatrix:
         return self.columns.shape[0]
 
     def tie_free_columns(self) -> np.ndarray:
-        """Read-only boolean mask of continuous columns with no repeated values.
+        """Boolean mask of continuous columns with no repeated values.
 
         Such a column has one sorted order, so `presort` may use an unstable
         sort on it, and the cutpoint grid keeps its base ranks as they are,
         without gathering its values; this is the common case for continuous
-        data.  Computed on the first call; later calls return the same
-        array.
+        data.  Sorts every continuous column on each call; `layout` calls it
+        once and keeps the mask.
         """
-        if self._tie_free is None:
-            out = np.zeros(self.p, dtype=bool)
-            for j in range(self.p):
-                if not self.categorical[j]:
-                    col = np.sort(self.columns[j])
-                    out[j] = bool(np.all(col[1:] != col[:-1]))
-            out.flags.writeable = False
-            self._tie_free = out
-        return self._tie_free
+        out = np.zeros(self.p, dtype=bool)
+        for j in range(self.p):
+            if not self.categorical[j]:
+                col = np.sort(self.columns[j])
+                out[j] = bool(np.all(col[1:] != col[:-1]))
+        return out
 
-    def dense_ranks(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """``{column: (levels, ranks)}`` for every column with ties.
-
-        ``levels`` are the column's distinct values, ascending, with signed
-        zeros as one, and ``ranks`` each row's position among them in the
-        narrowest unsigned type, from one ``np.unique`` per column that
-        `tie_free_columns` does not mark.  `presort` sorts the ranks and
-        `level_codes` builds on them.  Computed on the first call; later
-        calls return the same dict.
-        """
-        if self._ranks is None:
-            self._ranks = {}
-            for j in np.flatnonzero(~self.tie_free_columns()):
-                levels, ranks = np.unique(self.columns[j], return_inverse=True)
-                ranks = ranks.astype(np.min_scalar_type(levels.size - 1))
-                levels.flags.writeable = ranks.flags.writeable = False
-                self._ranks[int(j)] = levels, ranks
-        return self._ranks
-
-    def counted_columns(self) -> np.ndarray:
-        """Read-only boolean mask of the columns counted at each node.
-
-        These are the columns with ties and at most ``_COUNT_LEVELS``
-        distinct values (see `LevelCodes`).  Computed on the first call;
-        later calls return the same array.
-        """
-        if self._counted is None:
-            out = np.zeros(self.p, dtype=bool)
-            for j, (levels, _) in self.dense_ranks().items():
-                out[j] = levels.size <= _COUNT_LEVELS
-            out.flags.writeable = False
-            self._counted = out
-        return self._counted
-
-    def level_codes(self) -> LevelCodes:
-        """The level codes of the counted columns; see `LevelCodes`.
-
-        Computed on the first call, from `dense_ranks`; later calls return
-        the same object.
-        """
-        if self._levels is None:
-            self._levels = _level_codes(self)
-        return self._levels
+    def layout(self) -> ColumnLayout:
+        """The matrix's `ColumnLayout`, built at the first call; later calls
+        return the same object."""
+        if self._layout is None:
+            self._layout = _column_layout(self)
+        return self._layout
 
     def __repr__(self) -> str:
         n_cat = int(self.categorical.sum())
@@ -270,35 +237,39 @@ class PredictorMatrix:
 
 
 @dataclass(frozen=True)
-class LevelCodes:
-    """Integer level codes of the columns that are counted at each node.
+class ColumnLayout:
+    """What the sampler knows about a matrix's columns, built once per matrix.
 
-    A column is *counted* when it has ties (`PredictorMatrix.tie_free_columns`
-    does not mark it) and at most ``_COUNT_LEVELS`` distinct values; signed
-    zeros are one value.  Every other column is *sorted*: a node holds its
-    rows in that column's order.  A counted column needs no order, because
-    per-level counts over a node's rows give the ends of its tie runs.
+    ``tie_free`` is `PredictorMatrix.tie_free_columns`.  A column is
+    *counted* (``counted``) when it has ties and at most ``_COUNT_LEVELS``
+    distinct values; signed zeros are one value.  Every other column is
+    *sorted* (``sorted_columns``): a node holds its rows in that column's
+    order.  A counted column needs no order, because per-level counts over a
+    node's rows give the ends of its tie runs.
 
-    Slot ``s`` holds the ``s``-th counted column, ``columns[s]``, in
+    Slot ``s`` holds the ``s``-th counted column, ``slot_columns[s]``, in
     ``width`` bins: bin ``s * width`` stays empty and bin ``s * width + 1 +
     k`` holds the column's ``k``-th smallest value, ``values`` of that bin.
     ``codes[s, r]`` is the bin of row ``r``'s value, so one `np.bincount`
     over the codes of a node's rows counts the levels of every counted
     column at once, and a prefix sum over a slot's bins gives each level's
     cumulative count.  ``slot[v]`` is the slot of column ``v``, -1 for a
-    sorted column; ``sorted_columns`` lists the sorted columns, and
-    ``categorical_bins`` marks the bins of categorical slots (None when no
-    counted column is categorical).  Both signed zeros make one level,
-    whose value is +0.0.
+    sorted column, and ``categorical_bins`` marks the bins of categorical
+    slots (None when no counted column is categorical).  Both signed zeros
+    make one level, whose value is +0.0.
 
     A node stack holds one order per row: row 0 lists the node's rows in
     column-0 order, and the next rows order them by each sorted column other
     than column 0, ascending.  ``stack_row[v]`` is the row of column ``v``
-    (0 for column 0, -1 for another counted column).
+    (0 for column 0, -1 for another counted column).  ``tied_ranks[v]``
+    holds, for each column ``v`` with a stack row and ties, every row's
+    position among the column's distinct values in the narrowest unsigned
+    type, which `presort` radix-sorts.  Every array is read-only.
     """
 
+    tie_free: np.ndarray
     counted: np.ndarray
-    columns: np.ndarray
+    slot_columns: np.ndarray
     sorted_columns: np.ndarray
     slot: np.ndarray
     width: int
@@ -306,65 +277,68 @@ class LevelCodes:
     codes: np.ndarray
     values: np.ndarray
     stack_row: np.ndarray
+    tied_ranks: dict[int, np.ndarray]
 
 
-def _in_stack(counted: np.ndarray) -> np.ndarray:
-    """Boolean mask of the columns whose orders a node stack holds: column 0
-    and every column that ``counted`` does not mark."""
+def _column_layout(X: PredictorMatrix) -> ColumnLayout:
+    """``X``'s `ColumnLayout`, from one ``np.unique`` per tied column."""
+    tie_free = X.tie_free_columns()
+    counted = np.zeros(X.p, dtype=bool)
+    found = {}
+    for j in np.flatnonzero(~tie_free):
+        levels, ranks = np.unique(X.columns[j], return_inverse=True)
+        found[int(j)] = levels, ranks.astype(np.min_scalar_type(levels.size - 1))
+        counted[j] = levels.size <= _COUNT_LEVELS
+    slot_columns = np.flatnonzero(counted)
+    width = 1 + max((found[j][0].size for j in slot_columns), default=0)
+    first = np.arange(slot_columns.size) * width + 1  # each slot's smallest level
+    codes = np.array([found[j][1] for j in slot_columns], dtype=np.intp).reshape(-1, X.n)
+    codes += first[:, None]
+    values = np.zeros(slot_columns.size * width)
+    for bin_, j in zip(first, slot_columns):
+        values[bin_ : bin_ + found[j][0].size] = found[j][0]
+    values += 0.0  # a zero level's value is +0.0, as a sorted column's cut is
     in_stack = ~counted
     in_stack[0] = True
-    return in_stack
-
-
-def _level_codes(X: PredictorMatrix) -> LevelCodes:
-    counted = X.counted_columns()
-    columns = np.flatnonzero(counted)
-    found = [X.dense_ranks()[j] for j in columns]
-    width = 1 + max((levels.size for levels, _ in found), default=0)
-    first = np.arange(columns.size) * width + 1  # each slot's smallest level
-    codes = np.array([ranks for _, ranks in found], dtype=np.intp).reshape(columns.size, X.n)
-    codes += first[:, None]
-    values = np.zeros(columns.size * width)
-    for bin_, (levels, _) in zip(first, found):
-        values[bin_ : bin_ + levels.size] = levels
-    values += 0.0  # a zero level's value is +0.0, as a sorted column's cut is
-    in_stack = _in_stack(counted)
+    tied_ranks = {j: ranks for j, (_, ranks) in found.items() if in_stack[j]}
     stack_row = np.where(in_stack, np.cumsum(in_stack) - 1, -1)
     slot = np.where(counted, np.cumsum(counted) - 1, -1)
-    sorted_columns = np.flatnonzero(~counted)
-    categorical_bins = X.categorical[columns].repeat(width)
+    categorical_bins = X.categorical[slot_columns].repeat(width)
     if not categorical_bins.any():
         categorical_bins = None
-    for a in (columns, sorted_columns, slot, codes, values, stack_row):
+    sorted_columns = np.flatnonzero(~counted)
+    arrays = (tie_free, counted, slot_columns, sorted_columns, slot, codes, values, stack_row)
+    for a in (*arrays, *tied_ranks.values()):
         a.flags.writeable = False
-    return LevelCodes(
-        counted, columns, sorted_columns, slot, width, categorical_bins, codes, values, stack_row
+    return ColumnLayout(
+        tie_free, counted, slot_columns, sorted_columns, slot, width,
+        categorical_bins, codes, values, stack_row, tied_ranks,
     )
 
 
 def presort(X: PredictorMatrix) -> np.ndarray:
     """The root's node stack: row ids sorted, stably, for the root node.
 
-    Returns an ``(s, n)`` integer array laid out as `LevelCodes` describes:
+    Returns an ``(s, n)`` integer array laid out as `ColumnLayout` describes:
     row 0 is the stable argsort of column 0, and the other rows are those of
     the sorted columns after it, so with no counted column it is
-    ``np.argsort(X.columns, axis=1, kind="stable")``.  A column that
-    `X.tie_free_columns` marks has one sorted order only, so numpy's default
-    argsort (SIMD-vectorised where the CPU allows) returns exactly it.  A
-    tied column is sorted through its `X.dense_ranks`, which keep its order
-    and its ties (signed zeros are one level) in the narrowest unsigned type
-    that holds them; numpy's stable sort radix-sorts such keys up to 16 bits
-    wide.  The counted columns' codes are not built here but at the first
-    `X.level_codes` call.
+    ``np.argsort(X.columns, axis=1, kind="stable")``.  A tie-free column has
+    one sorted order only, so numpy's default argsort (SIMD-vectorised where
+    the CPU allows) returns exactly it.  A tied column is sorted through its
+    `ColumnLayout.tied_ranks`, which keep its order and its ties (signed
+    zeros are one level) in the narrowest unsigned type that holds them;
+    numpy's stable sort radix-sorts such keys up to 16 bits wide.  The first
+    call on ``X`` builds its layout, level codes included.
     """
-    tied = X.dense_ranks()
-    columns = np.flatnonzero(_in_stack(X.counted_columns()))
+    layout = X.layout()
+    columns = np.flatnonzero(layout.stack_row >= 0)
     out = np.empty((columns.size, X.n), dtype=np.intp)
-    for i, j in enumerate(columns):
-        if j in tied:
-            out[i] = np.argsort(tied[j][1], kind="stable")
-        else:
+    for i, j in enumerate(columns.tolist()):
+        ranks = layout.tied_ranks.get(j)
+        if ranks is None:
             out[i] = np.argsort(X.columns[j])
+        else:
+            out[i] = np.argsort(ranks, kind="stable")
     return out
 
 
@@ -375,9 +349,9 @@ def stack_rows(X: PredictorMatrix, variables: np.ndarray | None = None) -> np.nd
     ``variables`` (default: all columns), or row 0 alone, which lists the
     node's rows, when every scored column is counted.
     """
-    levels = X.level_codes()
-    counted = levels.counted if variables is None else levels.counted[variables]
-    rows = (levels.stack_row if variables is None else levels.stack_row[variables])[~counted]
+    layout = X.layout()
+    counted = layout.counted if variables is None else layout.counted[variables]
+    rows = (layout.stack_row if variables is None else layout.stack_row[variables])[~counted]
     return rows if rows.size or not counted.any() else np.zeros(1, dtype=np.intp)
 
 
@@ -388,7 +362,7 @@ def sift(
 
     Rows with ``X[var] <= cut`` go left.  ``index`` may be any ``(k, m)``
     stack of orderings of the node's ``m`` rows, such as the node stack of
-    `LevelCodes`; ``var`` need not be one of its columns.  The flag of every
+    `ColumnLayout`; ``var`` need not be one of its columns.  The flag of every
     entry of the stack is looked up once, and each child keeps the entries
     of the flattened stack that its flags select; every row of the output
     keeps its order, because selection preserves order.  A stack of at most
@@ -514,7 +488,7 @@ class CutpointGrid:
     candidate without sorting.
 
     When a scored column is counted, ``levels[i]`` is the bin of candidate
-    ``i``'s level in `LevelCodes.values`, or -1 for a candidate in a sorted
+    ``i``'s level in `ColumnLayout.values`, or -1 for a candidate in a sorted
     column, and ``codes`` holds the bins of the node's rows in each counted
     column that was scored, one row per column; the scan sums residuals over
     those bins.  Both are None when no scored column is counted.
@@ -554,7 +528,7 @@ def build_cutpoint_grid(
 
     ``index`` holds the rows of the node's stack that `stack_rows` names:
     row ``i`` orders the node's rows by the ``i``-th scored sorted column
-    (see `LevelCodes`), in the order of ``variables``; when every scored
+    (see `ColumnLayout`), in the order of ``variables``; when every scored
     column is counted, its one row lists the node's rows.  Every scored
     column starts from a ladder of base ranks ``0, j, 2j, ...`` into its
     node ordering, ``count`` of them.  A continuous column in a node with
@@ -567,7 +541,7 @@ def build_cutpoint_grid(
     qualifies, so both children are non-empty.  Candidates are grouped by
     column in the order of ``variables``, ranks ascending.
 
-    The columns that `X.tie_free_columns` marks are continuous, so they all
+    The tie-free columns of ``X.layout()`` are continuous, so they all
     share the node's one ladder and keep its ranks without gathering their
     values; when every scored column is one of them, the grid keeps the
     ladder's ranks as ``ladder`` for the scan, and otherwise it places each
@@ -599,12 +573,12 @@ def build_cutpoint_grid(
         raise DataError(f"cutpoint budget must be >= 1, got {budget}")
     if min_node_size < 1:
         raise DataError(f"min_node_size must be >= 1, got {min_node_size}")
-    levels = X.level_codes()
-    sorted_vars, counted_vars = levels.sorted_columns, levels.columns
+    layout = X.layout()
+    sorted_vars, counted_vars = layout.sorted_columns, layout.slot_columns
     if variables is not None:
         sorted_vars = variables = _checked_variables(variables, X.p)
         if counted_vars.size:
-            counted = levels.counted[variables]
+            counted = layout.counted[variables]
             sorted_vars, counted_vars = variables[~counted], variables[counted]
     n_rows = sorted_vars.size or min(counted_vars.size, 1)
     if index.ndim != 2 or index.shape[0] != n_rows:
@@ -658,7 +632,7 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
     ``variables``, whose node orders are the rows of ``index``: ``ladder``
     when they are all tie-free, else ``keys``, and the other None."""
     m = index.shape[1]
-    tied = np.flatnonzero(~X.tie_free_columns()[variables])
+    tied = np.flatnonzero(~X.layout().tie_free[variables])
     # the tie-free columns keep the in-range ranks of the one continuous ladder
     base = np.arange(count) * j
     kept = base[(base >= lo) & (base <= hi)]
@@ -698,21 +672,21 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
 def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     """The grid of the counted columns ``variables`` at the node of ``rows``;
     ``None`` scores every counted column, in slot order.  A candidate's value
-    is its level's entry of `LevelCodes.values`, so a zero cut is +0.0
+    is its level's entry of `ColumnLayout.values`, so a zero cut is +0.0
     whichever zeros the node's rows hold."""
-    levels = X.level_codes()
-    m, width = rows.size, levels.width
+    layout = X.layout()
+    m, width = rows.size, layout.width
     if variables is None:
-        variables = levels.columns
-        codes = levels.codes.take(rows, axis=1)
-        tally = np.bincount(codes.ravel(), minlength=levels.values.size)
+        variables = layout.slot_columns
+        codes = layout.codes.take(rows, axis=1)
+        tally = np.bincount(codes.ravel(), minlength=layout.values.size)
         bins = None
     else:
-        slots = levels.slot[variables]
-        codes = levels.codes.take((slots * X.n)[:, None] + rows)
+        slots = layout.slot[variables]
+        codes = layout.codes.take((slots * X.n)[:, None] + rows)
         # the scored slots' bins, in the order of variables
         bins = ((slots * width)[:, None] + np.arange(width)).ravel()
-        tally = np.bincount(codes.ravel(), minlength=levels.values.size).take(bins)
+        tally = np.bincount(codes.ravel(), minlength=layout.values.size).take(bins)
     # a slot's counts sum to m, so the running count over all bins, mod m,
     # is one past the end of each level's tie run within its column; it is 0
     # in each slot's empty first bin and from its last level on
@@ -723,7 +697,7 @@ def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
         # takes every rank even in a strided node
         held = np.minimum((ends - 1) // j + 1, count)
         if bins is None:
-            cat = levels.categorical_bins
+            cat = layout.categorical_bins
         else:
             cat = X.categorical[variables]
             cat = cat.repeat(width) if cat.any() else None
@@ -739,7 +713,7 @@ def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     var_ids = variables.take(at // width)
     if bins is not None:
         at = bins.take(at)
-    return CutpointGrid(var_ids, ranks, levels.values.take(at), at, codes)
+    return CutpointGrid(var_ids, ranks, layout.values.take(at), at, codes)
 
 
 def _checked_variables(variables, p: int, name: str = "variables") -> np.ndarray:

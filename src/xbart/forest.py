@@ -196,7 +196,8 @@ class ForestSampler:
             b_tau=params.b_tau or 0.5 * var_y / params.n_trees,
         )
         self.root_index = presort(X)
-        # built here, not at the first filtering tree, so that the fit
+        # the table makes every tree that draws its columns filter its node
+        # orders; built here, not at the first such tree, so that the fit
         # allocates no table-sized array while its nodes come and go
         self.root_ranks = (
             rank_table(self.root_index) if filters(p, self.params.mtry) else None

@@ -249,6 +249,12 @@ def load_model(path) -> FittedModel:
             raise ModelFormatError(
                 f"feature_names is not a list of {n_features} strings: {feature_names!r}"
             )
+        first: dict[str, int] = {}
+        for j, name in enumerate(feature_names or ()):
+            if first.setdefault(name, j) != j:
+                raise ModelFormatError(
+                    f"feature_names[{j}] is {name!r}, the same as feature_names[{first[name]}]"
+                )
         y_offset = parse_finite(payload["y_offset"], "y_offset")
         draws: list[SweepDraw] = []
         for k, d in enumerate(payload["draws"]):

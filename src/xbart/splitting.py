@@ -253,10 +253,10 @@ def _counted_left_sums(X, rows, residuals, grid, levels):
     """Left-child sums of candidates at the bins ``levels`` of counted
     columns: the node's residuals summed by bin over ``grid.codes``, then a
     prefix sum over each column's bins."""
-    codes = X.level_codes()
+    layout = X.layout()
     weights = residuals.take(rows)[None].repeat(grid.codes.shape[0], axis=0)
-    sums = np.bincount(grid.codes.ravel(), weights.ravel(), minlength=codes.values.size)
-    by_level = sums.reshape(-1, codes.width)
+    sums = np.bincount(grid.codes.ravel(), weights.ravel(), minlength=layout.values.size)
+    by_level = sums.reshape(-1, layout.width)
     np.cumsum(by_level, axis=1, out=by_level)
     return sums.take(levels)
 

@@ -54,9 +54,10 @@ _GRID_MEMO_BYTES = 2 * 2**20
 
 
 def filters(p: int, mtry: int) -> bool:
-    """Whether a tree whose nodes score ``mtry`` drawn columns of ``p`` takes
-    their orders from the root stack (`node_orders`) instead of sifting the
-    whole stack; such a tree needs the root stack's `rank_table`."""
+    """Whether the trees whose nodes score ``mtry`` drawn columns of ``p``
+    should take their orders from the root stack (`node_orders`) instead of
+    sifting the whole stack; a sampler that says yes builds the root stack's
+    `rank_table`, which makes `grow_tree` filter."""
     return _FILTER_RATIO * mtry <= p
 
 
@@ -152,7 +153,7 @@ class GridMemo:
         if "levels" in arrays:
             # the codes of the node's rows in the order of orders[0], as the
             # grid of every column gathers them
-            arrays["codes"] = self.X.level_codes().codes.take(orders[0], axis=1)
+            arrays["codes"] = self.X.layout().codes.take(orders[0], axis=1)
         return CutpointGrid(**arrays)
 
     def _keep(self, key: tuple, grid: CutpointGrid) -> None:
@@ -392,17 +393,17 @@ def grow_tree(
     """Grow one tree from the root over all rows of ``X``.
 
     A node scores the cutpoint grid of its scored columns, which needs the
-    node's rows sorted by each scored sorted column (see `LevelCodes`);
-    counted columns need only the rows.  When ``var_weights`` is given and
-    ``params.mtry`` is at most a third of the ``p`` columns (`filters`),
-    a node holds only the first row of its stack, its rows in column-0
-    order, and `node_orders` takes the drawn sorted columns' orders from the
-    root stack: by sorting the node's ranks in them (O(mtry·m log m)) on a
-    small node, by filtering the root orders (O(mtry·n)) on a large one.
-    Every other tree holds each node's whole ``(s, m)`` stack.  Either way
-    `sift` splits the node's stack into its children's (O(m) or O(s·m) per
-    split), and both paths give the same orders, sums and draws; the leaf
-    sums run over the rows in column-0 order either way.
+    node's rows sorted by each scored sorted column (see `ColumnLayout`);
+    counted columns need only the rows.  When ``var_weights`` and ``ranks``
+    are both given, the tree *filters*: a node holds only the first row of
+    its stack, its rows in column-0 order, and `node_orders` takes the drawn
+    sorted columns' orders from the root stack: by sorting the node's ranks
+    in them (O(mtry·m log m)) on a small node, by filtering the root orders
+    (O(mtry·n)) on a large one.  Every other tree holds each node's whole
+    ``(s, m)`` stack.  Either way `sift` splits the node's stack into its
+    children's (O(m) or O(s·m) per split), and both paths give the same
+    orders, sums and draws; the leaf sums run over the rows in column-0
+    order either way.
 
     Parameters
     ----------
@@ -420,8 +421,9 @@ def grow_tree(
         Filled in place with the grown tree's fitted value for every row
         (cheaper than re-evaluating the tree afterwards).
     ranks : ndarray, shape (s, n), optional
-        `rank_table` of ``index``; a tree that filters raises a `DataError`
-        without it.
+        `rank_table` of ``index``.  Given with ``var_weights``, it makes the
+        tree filter its node orders; the sampler builds it only when
+        `filters` says that pays.  It is not read otherwise.
     grid_memo : GridMemo, optional
         The fit's memo of recurring grids, made for ``X`` and ``params``.  A
         tree that scores every column (``var_weights`` is None) takes its
@@ -435,9 +437,7 @@ def grow_tree(
         raise DataError(f"noise variance must be positive and finite, got {sigma2}")
     if not 0.0 <= tau < math.inf:
         raise DataError(f"leaf prior variance must be non-negative and finite, got {tau}")
-    filtering = var_weights is not None and filters(X.p, params.mtry)
-    if filtering and ranks is None:
-        raise DataError("a tree that filters its node orders needs the root's rank_table")
+    filtering = var_weights is not None and ranks is not None
     # the rows of a node stack that score every column: a view
     every = slice(int(stack_rows(X)[0]), None)
     memo = grid_memo if var_weights is None else None

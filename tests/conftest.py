@@ -28,8 +28,9 @@ COLUMN_KINDS = {
 def count_levels(cutoff):
     """Count the tied columns with at most ``cutoff`` levels; 0 sorts all.
 
-    A matrix reads the cut-off once, when `presort` or the grid first asks
-    for its counted columns, so that call belongs inside the block.
+    A matrix reads the cut-off once, when its `ColumnLayout` is built at
+    the first `presort`, grid or ``layout()`` call, so that call belongs
+    inside the block.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "_COUNT_LEVELS", cutoff)
@@ -86,8 +87,9 @@ def layout_matrix(layout, rng, p, n):
 
 
 def stack_columns(X) -> np.ndarray:
-    """The column that each row of ``X``'s node stacks orders the rows by."""
-    return np.flatnonzero(X.level_codes().stack_row >= 0)
+    """The column that each row of ``X``'s node stacks orders the rows by,
+    from its `ColumnLayout.stack_row`."""
+    return np.flatnonzero(X.layout().stack_row >= 0)
 
 
 def ladder_keys(index, ladder) -> np.ndarray:

@@ -31,7 +31,10 @@ from xbart.data import (
     sift,
     stack_rows,
 )
+from xbart import forest as forest_module
+from xbart import fit
 from xbart.errors import DataError
+from xbart.forest import Hyperparams
 
 
 def reference_order(column, row_ids=None):
@@ -136,9 +139,9 @@ class TestPresort:
             ],
             categorical=[False, False, True, False, False],
         )
-        levels = X.level_codes()
-        assert levels.counted.tolist() == [True, False, True, False, True]
-        assert levels.stack_row.tolist() == [0, 1, -1, 2, -1]
+        layout = X.layout()
+        assert layout.counted.tolist() == [True, False, True, False, True]
+        assert layout.stack_row.tolist() == [0, 1, -1, 2, -1]
         want = np.argsort(X.columns, axis=1, kind="stable")
         np.testing.assert_array_equal(presort(X), want[[0, 1, 3]])
 
@@ -153,15 +156,15 @@ class TestPresort:
             ],
             categorical=[False, False, True],
         )
-        levels = X.level_codes()
-        assert levels.columns.tolist() == [1, 2]
-        for s, v in enumerate(levels.columns):
-            bins = levels.codes[s]
-            assert np.all(bins // levels.width == s) and np.all(bins % levels.width > 0)
+        layout = X.layout()
+        assert layout.slot_columns.tolist() == [1, 2]
+        for s, v in enumerate(layout.slot_columns):
+            bins = layout.codes[s]
+            assert np.all(bins // layout.width == s) and np.all(bins % layout.width > 0)
             # equal values, signed zeros apart, and ascending levels
-            assert np.array_equal(levels.values[bins], X.columns[v])
+            assert np.array_equal(layout.values[bins], X.columns[v])
             present = np.unique(bins)
-            assert np.all(np.diff(levels.values[present]) > 0)
+            assert np.all(np.diff(layout.values[present]) > 0)
 
 
 class TestStackRows:
@@ -394,7 +397,7 @@ class TestNodeOrders:
             X = PredictorMatrix(columns, categorical=[k == "categorical" for k in kinds] + [False])
             root = presort(X)
         assert np.unique(X.columns[-1]).size > _COUNT_LEVELS
-        assert not X.tie_free_columns()[-1] and not X.counted_columns()[-1]
+        assert not X.layout().tie_free[-1] and not X.layout().counted[-1]
         ranks = rank_table(root)
         every = np.arange(root.shape[0])
         sizes = []
@@ -554,7 +557,7 @@ class TestCutpointGrid:
             return
         # the row of index that orders each scored sorted column
         scored = np.arange(p) if variables is None else variables
-        scored = scored[~X.level_codes().counted[scored]]
+        scored = scored[~X.layout().counted[scored]]
         row_of = np.full(p, -1)
         row_of[scored] = np.arange(scored.size)
         in_stack = np.ones(len(grid), dtype=bool) if grid.levels is None else grid.levels < 0
@@ -579,11 +582,11 @@ class TestCutpointGrid:
         ]
         with count_levels(7):
             X = PredictorMatrix(cols)
-            assert X.level_codes().counted.tolist() == [True, False, False]
+            assert X.layout().counted.tolist() == [True, False, False]
             counted = build_cutpoint_grid(X, presort(X)[stack_rows(X)], budget=30)
         with count_levels(0):
             Y = PredictorMatrix(cols)
-            assert not Y.level_codes().counted.any()
+            assert not Y.layout().counted.any()
             assert_same_grid(counted, build_cutpoint_grid(Y, presort(Y), budget=30))
         # column 0's candidates are its levels' bins 1, 2, ...; the others -1
         assert counted.levels.tolist()[:3] == [1, 2, 3]
@@ -601,7 +604,7 @@ class TestCutpointGrid:
         with count_levels(cutoff):
             X = PredictorMatrix(cols)
             root = presort(X)
-        assert X.level_codes().counted.tolist() == [cutoff > 0] * 2
+        assert X.layout().counted.tolist() == [cutoff > 0] * 2
         node = sift(X, root, 1, 0.0)[0]  # rows 0 to 6
         grid = build_cutpoint_grid(X, node[stack_rows(X, [0])], budget=10, variables=[0])
         assert grid.values.tolist() == [-1.0, 0.0, 1.0]
@@ -911,11 +914,47 @@ class TestPredictorMatrix:
             X.columns[0, 0] = 2.0
         with pytest.raises(ValueError):
             X.categorical[0] = True
-        flags = X.tie_free_columns()
-        assert flags.tolist() == [True, False]
-        assert X.tie_free_columns() is flags
+        layout = X.layout()
+        assert layout.tie_free.tolist() == [True, False]
+        assert X.layout() is layout
         with pytest.raises(ValueError):
-            flags[1] = True
+            layout.tie_free[1] = True
+
+    def test_repeated_names_rejected(self):
+        with pytest.raises(DataError, match=r"names\[2\] is 'a', the same as names\[0\]"):
+            PredictorMatrix(np.zeros((3, 4)), names=["a", "b", "a"])
+
+    def test_a_fit_builds_the_layout_once_and_predict_never(self, monkeypatch):
+        calls = {"tie_free_columns": 0, "presort": 0}
+
+        def counting(name, run):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return run(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            PredictorMatrix, "tie_free_columns",
+            counting("tie_free_columns", PredictorMatrix.tie_free_columns),
+        )
+        monkeypatch.setattr(forest_module, "presort", counting("presort", presort))
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(200, 4))
+        rows[:, 1] = np.round(rows[:, 1])  # a counted column
+        params = Hyperparams(n_trees=3, n_sweeps=4, burnin=1)
+        model = fit(rows, rows[:, 0] + rng.normal(size=200), params)
+        assert calls == {"tie_free_columns": 1, "presort": 1}
+        made = []
+        from_rows = PredictorMatrix.from_rows.__func__
+
+        def keep_made(cls, *args, **kwargs):
+            made.append(from_rows(cls, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(PredictorMatrix, "from_rows", classmethod(keep_made))
+        model.predict(rows)
+        assert len(made) == 1 and made[0]._layout is None
+        assert calls == {"tie_free_columns": 1, "presort": 1}
 
 
 class TestCsvIngestion:

@@ -561,6 +561,10 @@ class TestPersistence:
             ("categorical", lambda p: p.update(categorical=[None, 1, 0])),
             ("categorical", lambda p: p.update(categorical=[0, 2, 0])),
             ("feature_names", lambda p: p.update(feature_names=["u", "v", "w", "x"])),
+            (
+                r"feature_names\[2\] is 'u', the same as feature_names\[0\]",
+                lambda p: p.update(feature_names=["u", "v", "u"]),
+            ),
             ("n_features", lambda p: p.update(n_features=2.5)),
             ("params.n_trees", lambda p: p["params"].update(n_trees=2.5)),
             ("params.sample_tau", lambda p: p["params"].update(sample_tau="no")),
@@ -582,7 +586,8 @@ class TestPersistence:
             "negative_sigma2", "zero_sigma2", "negative_tau", "inf_cut",
             "nan_leaf", "string_leaf", "fractional_split_variable",
             "short_categorical", "string_categorical", "fractional_categorical",
-            "null_categorical", "two_categorical", "long_feature_names", "fractional_n_features",
+            "null_categorical", "two_categorical", "long_feature_names", "repeated_feature_names",
+            "fractional_n_features",
             "fractional_n_trees", "string_sample_tau", "nan_alpha",
             "n_trees_disagrees_with_draws", "draw_without_trees",
             "fractional_sweep", "string_sweep", "repeated_sweep",

@@ -422,7 +422,7 @@ class TestLadderScan:
             ],
             categorical=[False, False, True, False],
         )
-        assert X.level_codes().counted.tolist() == [True, False, True, False]
+        assert X.layout().counted.tolist() == [True, False, True, False]
         for variables in (None, np.array([3, 0, 1]), np.array([2, 3])):
             orders = presort(X)[stack_rows(X, variables)]
             grid = build_cutpoint_grid(X, orders, budget=25, variables=variables)

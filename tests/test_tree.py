@@ -28,12 +28,16 @@ def _params(**kw):
 
 
 def _grow(X, resid, seed=0, sigma2=1.0, tau=1.0, params=None, rng=None, index=None, **kw):
+    """`grow_tree` on ``X``, given the rank table when the sampler would build
+    it (`tree.filters`), unless ``ranks`` is passed."""
     index = presort(X) if index is None else index
+    params = _params() if params is None else params
     kw.setdefault("fitted_out", np.empty(X.n))
-    kw.setdefault("ranks", rank_table(index))
+    if "ranks" not in kw and tree_module.filters(X.p, params.mtry or X.p):
+        kw["ranks"] = rank_table(index)
     return grow_tree(
         X, index, np.asarray(resid, dtype=float),
-        sigma2, tau, _params() if params is None else params,
+        sigma2, tau, params,
         np.random.default_rng(seed) if rng is None else rng,
         **kw,
     )
@@ -290,19 +294,10 @@ class TestGrow:
         assert set(tree.var[tree.var >= 0].tolist()) <= {2}
         assert tree.n_leaves > 1
 
-    def test_a_filtering_tree_needs_the_rank_table(self):
-        rng = np.random.default_rng(12)
-        X = PredictorMatrix(rng.normal(size=(8, 40)))
-        weights = np.full(8, 0.125)
-        with pytest.raises(DataError, match="rank_table"):
-            _grow(X, rng.normal(size=40), params=_params(mtry=2), var_weights=weights, ranks=None)
-        # 3 of 8 columns sift every node and need no table
-        _grow(X, rng.normal(size=40), params=_params(mtry=3), var_weights=weights, ranks=None)
-
     @pytest.mark.parametrize("p, mtry", [(8, 2), (8, 3), (12, 3), (6, 5)])
     def test_filtered_and_sifted_nodes_grow_the_same_tree(self, monkeypatch, p, mtry):
-        # tie-free, tied and categorical columns; both paths are forced,
-        # whichever the module constant would pick
+        # tie-free, tied and categorical columns; the rank table selects the
+        # path, whichever `tree.filters` would pick
         rng = np.random.default_rng(p * 10 + mtry)
         n = 300
         kinds = (sorted(COLUMN_KINDS) * p)[:p]
@@ -313,16 +308,25 @@ class TestGrow:
         resid = X.columns[0] - 0.5 * X.columns[1] + rng.normal(size=n)
         weights = rng.dirichlet(np.ones(p))
         params = _params(mtry=mtry, n_cutpoints=20)
+        index = presort(X)
+        calls = []
+
+        def node_orders(*args, _run=tree_module.node_orders):
+            calls.append(args)
+            return _run(*args)
+
+        monkeypatch.setattr(tree_module, "node_orders", node_orders)
         grown = []
-        for ratio in (1, p + 1):  # filter every subset, then sift every node
-            monkeypatch.setattr(tree_module, "_FILTER_RATIO", ratio)
+        for ranks in (rank_table(index), None):  # filter every subset, then sift every node
+            calls.clear()
             fitted = np.full(n, np.nan)
             tree = _grow(
-                X, resid, seed=5, sigma2=0.3, params=params, var_weights=weights,
-                fitted_out=fitted,
+                X, resid, seed=5, sigma2=0.3, params=params, index=index,
+                var_weights=weights, fitted_out=fitted, ranks=ranks,
             )
-            grown.append((tree, fitted))
-        (a, fa), (b, fb) = grown
+            grown.append((tree, fitted, len(calls)))
+        (a, fa, filtered), (b, fb, sifted) = grown
+        assert filtered > 0 and sifted == 0
         assert a.n_nodes > 5 and not np.isnan(fa).any()
         assert a.var.tobytes() == b.var.tobytes()
         assert a.value.tobytes() == b.value.tobytes()
@@ -375,7 +379,7 @@ class TestGrow:
                 X, resid, seed=5, sigma2=0.3, params=params, index=index,
                 var_weights=weights, fitted_out=fitted,
             )
-            grown.append((tree, fitted, X.level_codes().counted.sum()))
+            grown.append((tree, fitted, X.layout().counted.sum()))
         (a, fa, none), *others = grown
         assert none == 0 and a.n_nodes > 5 and not np.isnan(fa).any()
         at_six = 4 + (first == "tied")
