@@ -30,6 +30,12 @@ counted, is stable-sorted through the small-integer ranks of its values
 (`ColumnLayout.tied_ranks`), which numpy radix-sorts.  Both give the one
 stable order.
 
+The tie scan and the root stack are one sort per column.  On a matrix of
+at least ``_SETUP_ROWS`` rows the columns are handed out one at a time to
+the calling thread and a helper per further core; each writes only its own
+entry or row of a preallocated output, so the arrays are the ones a single
+thread builds.
+
 Cutpoint candidates are expressed as *ranks* into a column's node ordering:
 candidate rank ``h`` for variable ``v`` means the left child takes sorted
 positions ``0..h`` inclusive.  Ranks always point at the end of a tie run,
@@ -55,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .threads import run_tasks
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -75,6 +82,17 @@ _SORT_SHARE = 0.4
 # A column with ties and at most this many distinct values is counted at each
 # node instead of sorted (crossover measured in BENCH_levels.json).
 _COUNT_LEVELS = 1024
+
+# A matrix of at least this many rows has the sorts of its tie scan and root
+# stack run on up to one thread per allowed core, `threads.run_tasks`.  A
+# set-up call is one long sort per column, in which numpy releases the
+# interpreter lock, so two threads win at far fewer rows than predict's many
+# short passes do (`model._THREAD_ROWS`): the stack's argsorts from about
+# 4,000 rows, the tie scan's sorts from 12,000.  At this gate the argsorts
+# gain more than the tie scan loses (BENCH_setup_threads.json).  The helpers
+# call nothing that a tracer wraps, so every span of a set-up opens and
+# closes on the calling thread.
+_SETUP_ROWS = 8_192
 
 
 def _numeric(values) -> np.ndarray:
@@ -215,13 +233,17 @@ class PredictorMatrix:
         sort on it, and the cutpoint grid keeps its base ranks as they are,
         without gathering its values; this is the common case for continuous
         data.  Sorts every continuous column on each call; `layout` calls it
-        once and keeps the mask.
+        once and keeps the mask.  The sorts of a matrix of at least
+        ``_SETUP_ROWS`` rows are spread over threads, as `presort`'s are.
         """
         out = np.zeros(self.p, dtype=bool)
-        for j in range(self.p):
-            if not self.categorical[j]:
-                col = np.sort(self.columns[j])
-                out[j] = bool(np.all(col[1:] != col[:-1]))
+        continuous = np.flatnonzero(~self.categorical).tolist()
+
+        def scan(k: int) -> None:
+            col = np.sort(self.columns[continuous[k]])
+            out[continuous[k]] = np.all(col[1:] != col[:-1])
+
+        run_tasks(scan, len(continuous), self.n >= _SETUP_ROWS)
         return out
 
     def layout(self) -> ColumnLayout:
@@ -329,16 +351,24 @@ def presort(X: PredictorMatrix) -> np.ndarray:
     zeros are one level) in the narrowest unsigned type that holds them;
     numpy's stable sort radix-sorts such keys up to 16 bits wide.  The first
     call on ``X`` builds its layout, level codes included.
+
+    For a matrix of at least ``_SETUP_ROWS`` rows the rows of the stack are
+    sorted on up to one thread per allowed core, the caller's included, one
+    column at a time; each fills its own row, so the stack is the same
+    array as one thread's.
     """
     layout = X.layout()
-    columns = np.flatnonzero(layout.stack_row >= 0)
-    out = np.empty((columns.size, X.n), dtype=np.intp)
-    for i, j in enumerate(columns.tolist()):
-        ranks = layout.tied_ranks.get(j)
+    columns = np.flatnonzero(layout.stack_row >= 0).tolist()
+    out = np.empty((len(columns), X.n), dtype=np.intp)
+
+    def order(i: int) -> None:
+        ranks = layout.tied_ranks.get(columns[i])
         if ranks is None:
-            out[i] = np.argsort(X.columns[j])
+            out[i] = np.argsort(X.columns[columns[i]])
         else:
             out[i] = np.argsort(ranks, kind="stable")
+
+    run_tasks(order, len(columns), X.n >= _SETUP_ROWS)
     return out
 
 
@@ -432,13 +462,17 @@ def rank_table(root_index: np.ndarray) -> np.ndarray:
 
     Entry ``[i, v]`` is row ``v``'s position in stack row ``i``, in the
     narrowest unsigned type that holds ``n - 1``, so that `node_orders`
-    sorts a node's ranks as small integers.  Read-only.
+    sorts a node's ranks as small integers.  Read-only.  Each row is one
+    scatter on the calling thread: two threads lose to one below about
+    16,000 rows (BENCH_setup_threads.json).
     """
     s, n = root_index.shape
     ranks = np.empty((s, n), dtype=np.min_scalar_type(n - 1))
     positions = np.arange(n, dtype=ranks.dtype)
     for i in range(s):
-        ranks[i, root_index[i]] = positions
+        # a 1-d row view takes numpy's one-index scatter, a quarter faster
+        # than ``ranks[i, root_index[i]]``
+        ranks[i][root_index[i]] = positions
     ranks.flags.writeable = False
     return ranks
 

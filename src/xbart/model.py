@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -21,6 +18,7 @@ import numpy as np
 from .data import PredictorMatrix, as_rows
 from .errors import ConfigError, DataError, ModelFormatError
 from .forest import ForestSampler, Hyperparams, SweepDraw
+from .threads import run_tasks
 from .tree import Tree, parse_finite
 
 _FORMAT = "xbart-model"
@@ -30,17 +28,10 @@ _VERSION = 1
 # interpreter lock at every numpy call, and only the part of a call that runs
 # without it overlaps; that part grows with the rows, so the crossover is in
 # rows (40,000 to 64,000 on three benchmark models, whatever their splits),
-# not in rows times splits (BENCH_predict_threads.json).
+# not in rows times splits (BENCH_predict_threads.json).  A fit's set-up
+# threads from far fewer rows (`data._SETUP_ROWS`): each of its calls is one
+# long sort, not many short passes.
 _THREAD_ROWS = 64_000
-
-
-def _thread_count(n_draws: int) -> int:
-    """Threads a predict may use: one per allowed core, at most one per draw."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cores = os.cpu_count() or 1
-    return min(cores, n_draws)
 
 
 @dataclass
@@ -113,33 +104,17 @@ class FittedModel:
         else:
             X, trees = self._split_block(X, trees)
         out = np.empty((X.n, len(trees)))
-        draws = iter(range(len(trees)))
-        lock = threading.Lock()
 
-        def drain() -> None:
-            # draws go out one at a time, to the caller and its helpers alike
-            while True:
-                with lock:
-                    k = next(draws, None)
-                if k is None:
-                    return
-                acc = np.full(X.n, self.y_offset)
-                for tree in trees[k]:
-                    acc += tree.predict(X)
-                out[:, k] = acc
+        def evaluate(k: int) -> None:
+            acc = np.full(X.n, self.y_offset)
+            for tree in trees[k]:
+                acc += tree.predict(X)
+            out[:, k] = acc
 
-        helpers = _thread_count(len(trees)) - 1 if X.n >= _THREAD_ROWS else 0
-        if helpers == 0:
-            drain()
-            return out
         # The caller evaluates draws too, so the pool is one thread short of
         # the count: each thread's malloc arena keeps the freed temporaries of
         # its last draw, about 3 MB at 10^5 rows (BENCH_predict_threads.json).
-        with ThreadPoolExecutor(helpers) as pool:
-            running = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-            for helper in running:
-                helper.result()
+        run_tasks(evaluate, len(trees), X.n >= _THREAD_ROWS)
         return out
 
     def predict(self, X) -> np.ndarray:

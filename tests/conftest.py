@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles the implementation never touches."""
 
 import contextlib
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import settings
 from scipy import integrate
 
 from xbart import data as data_module
+from xbart import threads as threads_module
 from xbart import tree as tree_module
 from xbart.data import CutpointGrid, PredictorMatrix, presort
 from xbart.errors import DataError
@@ -35,6 +37,30 @@ def count_levels(cutoff):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "_COUNT_LEVELS", cutoff)
         yield
+
+
+@contextlib.contextmanager
+def setup_threads(cores):
+    """Spread every set-up's sorts over ``cores`` allowed cores, whatever
+    its rows; None keeps every set-up on the calling thread.
+
+    Yields a list that gets, for each pool opened, its thread count with the
+    caller's thread included.  Predict opens pools too, from
+    `model._THREAD_ROWS` rows on.
+    """
+    opened = []
+    real = threads_module.ThreadPoolExecutor
+
+    def recording(max_workers):
+        opened.append(max_workers + 1)
+        return real(max_workers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(threads_module, "ThreadPoolExecutor", recording)
+        patch.setattr(data_module, "_SETUP_ROWS", 2**62 if cores is None else 0)
+        if cores is not None:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        yield opened
 
 
 @contextlib.contextmanager

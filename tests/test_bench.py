@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+import xbart.data
 import xbart.model
+import xbart.threads
 from xbart.bench import run_bench
 from xbart.errors import ConfigError
 from xbart.forest import Hyperparams
@@ -44,21 +46,25 @@ class TestRunBench:
         assert serial.canonical_report() == parallel.canonical_report()
 
     def test_threaded_predict_does_not_change_results(self, monkeypatch):
-        # a rep scores at most 10^4 rows, below predict's thread crossover,
-        # so the crossover is lowered to send every rep's predict to a pool
+        # a rep fits 120 rows and scores at most 10^4, below the set-up's and
+        # predict's thread crossovers, so both are lowered to send every rep's
+        # set-up and predict to a pool
         serial = _tiny_bench(seed=3, jobs=2)
         opened = []
-        real = xbart.model.ThreadPoolExecutor
+        real = xbart.threads.ThreadPoolExecutor
 
         def recording(max_workers):
-            opened.append(max_workers + 1)  # the caller evaluates draws too
+            opened.append(max_workers + 1)  # the caller works too
             return real(max_workers)
 
-        monkeypatch.setattr(xbart.model, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(xbart.threads, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(xbart.model, "_THREAD_ROWS", 0)
+        monkeypatch.setattr(xbart.data, "_SETUP_ROWS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threaded = _tiny_bench(seed=3, jobs=1)
-        assert opened == [2, 2, 2]
+        # per rep: the tie scan's and the stack's sorts of 4 tie-free
+        # columns, then the predict's draws
+        assert opened == [2, 2, 2] * 3
         assert threaded.canonical_report() == serial.canonical_report()
 
     def test_pool_never_outnumbers_the_reps(self, monkeypatch):

@@ -1,5 +1,9 @@
 """Tests for the presorted-index layer: sorting, sifting, grids, ingestion."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from conftest import (
     count_levels,
     layout_matrix,
     reference_grid,
+    setup_threads,
     sort_share,
     stack_block,
     stack_columns,
@@ -31,6 +36,7 @@ from xbart.data import (
     sift,
     stack_rows,
 )
+from xbart import data as data_module
 from xbart import forest as forest_module
 from xbart import fit
 from xbart.errors import DataError
@@ -925,11 +931,15 @@ class TestPredictorMatrix:
             PredictorMatrix(np.zeros((3, 4)), names=["a", "b", "a"])
 
     def test_a_fit_builds_the_layout_once_and_predict_never(self, monkeypatch):
+        # the set-up's columns go to threads, but the calls that a tracer
+        # wraps open and close on the calling thread
         calls = {"tie_free_columns": 0, "presort": 0}
+        callers = set()
 
         def counting(name, run):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                callers.add(threading.get_ident())
                 return run(*args, **kwargs)
             return wrapper
 
@@ -942,8 +952,12 @@ class TestPredictorMatrix:
         rows = rng.normal(size=(200, 4))
         rows[:, 1] = np.round(rows[:, 1])  # a counted column
         params = Hyperparams(n_trees=3, n_sweeps=4, burnin=1)
-        model = fit(rows, rows[:, 0] + rng.normal(size=200), params)
+        with setup_threads(2) as opened:
+            model = fit(rows, rows[:, 0] + rng.normal(size=200), params)
         assert calls == {"tie_free_columns": 1, "presort": 1}
+        assert callers == {threading.get_ident()}
+        # the tie scan's 4 columns and the stack's 3 rows
+        assert opened == [2, 2]
         made = []
         from_rows = PredictorMatrix.from_rows.__func__
 
@@ -955,6 +969,122 @@ class TestPredictorMatrix:
         model.predict(rows)
         assert len(made) == 1 and made[0]._layout is None
         assert calls == {"tie_free_columns": 1, "presort": 1}
+
+
+def _same_layout(a, b) -> bool:
+    """Whether two `ColumnLayout`s hold equal fields, arrays of one dtype."""
+
+    def same(x, y) -> bool:
+        if isinstance(x, dict):
+            return list(x) == list(y) and all(same(x[k], y[k]) for k in x)
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+        return type(x) is type(y) and x == y
+
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+
+
+class TestThreadedSetUp:
+    """A set-up spread over threads builds the arrays that one thread builds."""
+
+    @staticmethod
+    def _matrices(layout):
+        """Two equal fresh matrices of a `LAYOUTS` entry, and its level cut-off."""
+        rng = np.random.default_rng(LAYOUTS.index(layout))
+        kinds = ["tie_free"] * 6 if layout == "tie_free" else sorted(COLUMN_KINDS) * 2
+        columns = [COLUMN_KINDS[k](rng, 150) for k in kinds]
+        flags = [k == "categorical" for k in kinds]
+        cutoff = 0 if layout == "sorted" else _COUNT_LEVELS
+        return [PredictorMatrix(columns, categorical=flags) for _ in range(2)], cutoff
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_matches_one_thread(self, layout, cores):
+        (one, many), cutoff = self._matrices(layout)
+        with count_levels(cutoff):
+            with setup_threads(None) as serial:
+                stack = presort(one)
+                ranks = rank_table(stack)
+            with setup_threads(cores) as opened:
+                threaded = presort(many)
+                threaded_ranks = rank_table(threaded)
+        assert serial == []
+        assert threaded.dtype == stack.dtype and np.array_equal(threaded, stack)
+        assert threaded_ranks.dtype == ranks.dtype and np.array_equal(threaded_ranks, ranks)
+        assert not threaded_ranks.flags.writeable
+        assert _same_layout(many.layout(), one.layout())
+        # one pool per loop of more than one column: the tie scan over the
+        # continuous columns and the stack's sorts over its rows; the level
+        # codes and the rank table stay on the caller
+        tasks = (np.count_nonzero(~one.categorical), stack.shape[0])
+        assert opened == [min(cores, k) for k in tasks if k > 1]
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # every column writes its own row of a shared output; with more
+        # threads than columns and a switch after almost every bytecode, a
+        # write that strayed into another column's row would show
+        (one, _), _ = self._matrices("sorted")
+        with count_levels(0), setup_threads(None):
+            stack = presort(one)
+            ranks = rank_table(stack)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                (many, _), _ = self._matrices("sorted")
+                with count_levels(0), setup_threads(8) as opened:
+                    threaded = presort(many)
+                    assert np.array_equal(rank_table(threaded), ranks)
+                assert np.array_equal(threaded, stack)
+                assert _same_layout(many.layout(), one.layout())
+                # 4 continuous columns, a stack of 6 rows
+                assert opened == [4, 6]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_core_or_few_rows_start_no_thread(self):
+        (X, _), _ = self._matrices("counted")
+        before = threading.active_count()
+        with setup_threads(1) as opened:
+            stack = presort(X)
+            rank_table(stack)
+        assert opened == []
+        for rows, pools in ((X.n + 1, 0), (X.n, 2)):
+            (X, _), _ = self._matrices("counted")
+            with setup_threads(3) as opened, pytest.MonkeyPatch.context() as patch:
+                patch.setattr(data_module, "_SETUP_ROWS", rows)
+                rank_table(presort(X))
+            assert len(opened) == pools
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_column_error_reaches_the_caller_unchanged(self, monkeypatch, cores):
+        # the caller's first sort waits until a helper's sort has raised, so
+        # the error comes from a helper whichever column it took
+        (X, _), _ = self._matrices("tie_free")
+        X.layout()
+        caller, real = threading.get_ident(), np.argsort
+        raised, lock, failed = [], threading.Lock(), threading.Event()
+
+        def failing(a, *args, **kwargs):
+            if threading.get_ident() == caller:
+                assert failed.wait(10)
+            else:
+                with lock:
+                    if not raised:
+                        raised.append(DataError("column cannot be sorted"))
+                        failed.set()
+                        raise raised[0]
+            return real(a, *args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np, "argsort", failing)
+        with setup_threads(cores) as opened:
+            with pytest.raises(DataError, match="^column cannot be sorted$") as info:
+                presort(X)
+        assert info.value is raised[0]
+        assert opened == [cores]
+        assert threading.active_count() == before
 
 
 class TestCsvIngestion:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xbart
-from conftest import LAYOUTS, grid_memo, layout_matrix
+from conftest import LAYOUTS, count_levels, grid_memo, layout_matrix, setup_threads
+from xbart import data as data_module
 from xbart import tree as tree_module
 from xbart.data import PredictorMatrix
 from xbart.errors import ConfigError, DataError
@@ -478,3 +480,35 @@ class TestGridMemo:
         X, y = _tied(seed=3)
         fit(X, y, Hyperparams(n_trees=3, n_sweeps=3, burnin=1), seed=6)
         assert len(made) == 1 and made[0]() is None
+
+
+class TestThreadedSetUp:
+    """A fit whose set-up runs on threads writes one thread's model file."""
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_writes_one_threads_file(self, layout, cores):
+        rng = np.random.default_rng(LAYOUTS.index(layout))
+        X, _ = layout_matrix(layout, rng, 6, 150)
+        y = np.where(X.columns[0] > np.median(X.columns[0]), 2.0, 0.0) + rng.normal(size=150)
+        # "subset" scores three drawn columns per node, "filtered" two, so
+        # its sampler builds the rank table
+        mtry = {"subset": 3, "filtered": 2}.get(layout)
+        params = Hyperparams(n_trees=3, n_sweeps=4, burnin=1, mtry=mtry)
+        files = []
+        with count_levels(0 if layout == "sorted" else data_module._COUNT_LEVELS):
+            for cores_ in (None, cores):
+                fresh = PredictorMatrix(X.columns, categorical=X.categorical)
+                with setup_threads(cores_) as opened:
+                    files.append(_model_file(fresh, y, params, seed=1))
+                assert bool(opened) == (cores_ is not None)
+        assert files[1] == files[0]
+
+    def test_no_thread_outlives_the_fit(self):
+        X, y = _tied(n=300, seed=4)
+        before = threading.active_count()
+        with setup_threads(2) as opened:
+            fit(X, y, Hyperparams(n_trees=3, n_sweeps=3, burnin=1, mtry=1), seed=7)
+        # the tie scan and the stack's sorts
+        assert opened == [2, 2]
+        assert threading.active_count() == before

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import LAYOUTS, layout_matrix, walk_tree
 from xbart import model as model_module
+from xbart import threads as threads_module
 from xbart.data import _COPY_BLOCK, PredictorMatrix
 from xbart.errors import DataError, ModelFormatError
 from xbart.forest import ForestSampler, Hyperparams, SweepDraw
@@ -257,14 +258,16 @@ class TestThreadedPredict:
     def pools(self, monkeypatch):
         """Send every batch to the pool on three allowed cores, and record how
         many threads each threaded call uses: its pool's and the caller's."""
+        # the fits here have fewer than data._SETUP_ROWS rows, so only
+        # predict opens pools
         sizes = []
-        real = model_module.ThreadPoolExecutor
+        real = threads_module.ThreadPoolExecutor
 
         def recording(max_workers):
             sizes.append(max_workers + 1)
             return real(max_workers)
 
-        monkeypatch.setattr(model_module, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(threads_module, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(model_module, "_THREAD_ROWS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         return sizes
