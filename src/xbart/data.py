@@ -1,15 +1,16 @@
 """Column-oriented training data and the presorted-index machinery.
 
 The tree sampler never re-sorts observations while a tree grows.  What it
-knows about the columns is one `ColumnLayout` per matrix, built at the
-first `PredictorMatrix.layout` call from one ``np.unique`` per tied column.
-Columns come in two kinds.  A *counted* column has ties and few distinct
-values: every row gets an integer level code in the layout, and a node
-summarises the column by counting its rows' codes.  Every other column is
-*sorted*: its observation order is computed once at the root
-(``presort``), and a node's ordering of it is that root order with the rows
-outside the node left out: the node's row ids sorted by the column, ties
-broken by original row order.
+knows about the columns is one `ColumnLayout` per matrix, built from one
+default argsort per column: any sorted order puts equal values next to each
+other, so one compare of neighbours in it finds a column's ties, and its
+runs of equal values give a tied column's levels.  Columns come in two
+kinds.  A *counted* column has ties and few distinct values: every row gets
+an integer level code in the layout, and a node summarises the column by
+counting its rows' codes.  Every other column is *sorted*: its observation
+order is computed once at the root (``presort``), and a node's ordering of
+it is that root order with the rows outside the node left out: the node's
+row ids sorted by the column, ties broken by original row order.
 
 A node's *stack* holds its rows in column-0 order, then its orderings of
 the sorted columns after column 0; counted columns need none.  ``sift``
@@ -24,17 +25,17 @@ sorted columns a node scores from the root stack: a node of fewer than
 at O(k·n).  The grid and the scan take one ordering row per scored sorted
 column either way (`stack_rows`).
 
-A tie-free column's order is unique, so ``presort`` sorts it with numpy's
-fast default argsort; a tied sorted column, and column 0 when it is
-counted, is stable-sorted through the small-integer ranks of its values
-(`ColumnLayout.tied_ranks`), which numpy radix-sorts.  Both give the one
-stable order.
+A tie-free column's order is unique, so the default argsort that found it
+tie-free is its stack row as it is; a tied sorted column, and column 0 when
+it is counted, is stable-sorted through the small-integer ranks of its
+values (`ColumnLayout.tied_ranks`), which numpy radix-sorts.  Both give the
+one stable order.
 
-The tie scan and the root stack are one sort per column.  On a matrix of
-at least ``_SETUP_ROWS`` rows the columns are handed out one at a time to
-the calling thread and a helper per further core; each writes only its own
-entry or row of a preallocated output, so the arrays are the ones a single
-thread builds.
+On a matrix of at least ``_SETUP_ROWS`` rows the argsorts are handed out
+one column at a time to the calling thread and a helper per further core,
+and so are the radix sorts, and from ``_CHECK_ROWS`` rows the neighbour
+checks; each writes only its own entry or row of a preallocated output, so
+the arrays are the ones a single thread builds.
 
 Cutpoint candidates are expressed as *ranks* into a column's node ordering:
 candidate rank ``h`` for variable ``v`` means the left child takes sorted
@@ -83,16 +84,25 @@ _SORT_SHARE = 0.4
 # node instead of sorted (crossover measured in BENCH_levels.json).
 _COUNT_LEVELS = 1024
 
-# A matrix of at least this many rows has the sorts of its tie scan and root
-# stack run on up to one thread per allowed core, `threads.run_tasks`.  A
-# set-up call is one long sort per column, in which numpy releases the
-# interpreter lock, so two threads win at far fewer rows than predict's many
-# short passes do (`model._THREAD_ROWS`): the stack's argsorts from about
-# 4,000 rows, the tie scan's sorts from 12,000.  At this gate the argsorts
-# gain more than the tie scan loses (BENCH_setup_threads.json).  The helpers
+# A matrix of at least this many rows has its set-up's sorts, one default
+# argsort per column and the stable sorts of its tied stack rows, run on up to
+# one thread per allowed core, `threads.run_tasks`.  A set-up call is one long
+# sort per column, in which numpy releases the interpreter lock, so two
+# threads win at far fewer rows than predict's many short passes do
+# (`model._THREAD_ROWS`): on 30 columns, the argsorts already at 2,000 rows
+# (0.92x) and the stable sorts from about 4,000 (0.95x at 4,096, 1.05x at
+# 3,500; BENCH_setup_sorts.json, ``crossover``).  The gate sits at the
+# stable sorts' crossover and keeps 2,000-row fits on one thread.  The helpers
 # call nothing that a tracer wraps, so every span of a set-up opens and
 # closes on the calling thread.
-_SETUP_ROWS = 8_192
+_SETUP_ROWS = 4_096
+
+# A matrix of at least this many rows has the neighbour check of its tie scan
+# (`PredictorMatrix.tie_free_columns`) spread over threads the same way.  The
+# check is one random gather and one compare per column, far shorter than a
+# sort, so on 30 columns two threads still lose at 16,384 rows (1.04x) and
+# win at 32,768 (0.72x; BENCH_setup_sorts.json, ``check_crossover``).
+_CHECK_ROWS = 32_768
 
 
 def _numeric(values) -> np.ndarray:
@@ -226,31 +236,35 @@ class PredictorMatrix:
     def p(self) -> int:
         return self.columns.shape[0]
 
-    def tie_free_columns(self) -> np.ndarray:
+    def tie_free_columns(self, orders: np.ndarray) -> np.ndarray:
         """Boolean mask of continuous columns with no repeated values.
 
-        Such a column has one sorted order, so `presort` may use an unstable
-        sort on it, and the cutpoint grid keeps its base ranks as they are,
-        without gathering its values; this is the common case for continuous
-        data.  Sorts every continuous column on each call; `layout` calls it
-        once and keeps the mask.  The sorts of a matrix of at least
-        ``_SETUP_ROWS`` rows are spread over threads, as `presort`'s are.
+        ``orders[j]`` is an order of the row ids that sorts column ``j``, such
+        as numpy's default argsort.  Any sorted order puts equal values next
+        to each other, so a column is tie-free when no two neighbours in it
+        are equal: one gather and one compare per continuous column, spread
+        over threads from ``_CHECK_ROWS`` rows on.  Such a column has one
+        sorted order, so `presort` keeps its argsort as its stack row, and the
+        cutpoint grid keeps its base ranks as they are, without gathering its
+        values; this is the common case for continuous data.  `layout` and
+        `presort` call it once per matrix and keep the mask.
         """
         out = np.zeros(self.p, dtype=bool)
         continuous = np.flatnonzero(~self.categorical).tolist()
 
-        def scan(k: int) -> None:
-            col = np.sort(self.columns[continuous[k]])
-            out[continuous[k]] = np.all(col[1:] != col[:-1])
+        def check(k: int) -> None:
+            j = continuous[k]
+            col = self.columns[j].take(orders[j])
+            out[j] = np.all(col[1:] != col[:-1])
 
-        run_tasks(scan, len(continuous), self.n >= _SETUP_ROWS)
+        run_tasks(check, len(continuous), self.n >= _CHECK_ROWS)
         return out
 
     def layout(self) -> ColumnLayout:
         """The matrix's `ColumnLayout`, built at the first call; later calls
         return the same object."""
         if self._layout is None:
-            self._layout = _column_layout(self)
+            self._layout = _column_layout(self, _argsorts(self))
         return self._layout
 
     def __repr__(self) -> str:
@@ -287,6 +301,11 @@ class ColumnLayout:
     holds, for each column ``v`` with a stack row and ties, every row's
     position among the column's distinct values in the narrowest unsigned
     type, which `presort` radix-sorts.  Every array is read-only.
+
+    The layout is built from one default argsort per column, the orders
+    that `presort` makes its stack of: ``tie_free`` compares neighbours in
+    them, and a tied column's levels and ranks are its runs of equal values
+    in its order, as `np.unique` would give them.  No field keeps an order.
     """
 
     tie_free: np.ndarray
@@ -302,15 +321,49 @@ class ColumnLayout:
     tied_ranks: dict[int, np.ndarray]
 
 
-def _column_layout(X: PredictorMatrix) -> ColumnLayout:
-    """``X``'s `ColumnLayout`, from one ``np.unique`` per tied column."""
-    tie_free = X.tie_free_columns()
+def _argsorts(X: PredictorMatrix) -> np.ndarray:
+    """``(p, n)`` array whose row ``j`` is numpy's default argsort of column
+    ``j``, sorted on up to one thread per allowed core from ``_SETUP_ROWS``
+    rows on; each sort writes only its own row."""
+    out = np.empty((X.p, X.n), dtype=np.intp)
+
+    def order(j: int) -> None:
+        out[j] = np.argsort(X.columns[j])
+
+    run_tasks(order, X.p, X.n >= _SETUP_ROWS)
+    return out
+
+
+def _levels(col: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(col, return_inverse=True)`` from ``order``, which sorts
+    ``col``, with the ranks in the narrowest unsigned type that holds them.
+
+    Each run of equal values in the sorted column is one level, and a row's
+    rank counts the runs before its own.  `np.unique` sorts with numpy's
+    default argsort too, so given that order both keep the same value of
+    each run, the sign of a zero level included.
+    """
+    values = col.take(order)
+    starts = np.empty(values.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    levels = values[starts]
+    sorted_ranks = np.zeros(values.size, dtype=np.min_scalar_type(levels.size - 1))
+    np.cumsum(starts[1:], dtype=sorted_ranks.dtype, out=sorted_ranks[1:])
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
+    return levels, ranks
+
+
+def _column_layout(X: PredictorMatrix, orders: np.ndarray) -> ColumnLayout:
+    """``X``'s `ColumnLayout`, from ``orders[j]``, an order that sorts column
+    ``j``, for every column; the layout keeps no part of ``orders``."""
+    tie_free = X.tie_free_columns(orders)
     counted = np.zeros(X.p, dtype=bool)
     found = {}
-    for j in np.flatnonzero(~tie_free):
-        levels, ranks = np.unique(X.columns[j], return_inverse=True)
-        found[int(j)] = levels, ranks.astype(np.min_scalar_type(levels.size - 1))
-        counted[j] = levels.size <= _COUNT_LEVELS
+    for j in np.flatnonzero(~tie_free).tolist():
+        found[j] = _levels(X.columns[j], orders[j])
+        counted[j] = found[j][0].size <= _COUNT_LEVELS
     slot_columns = np.flatnonzero(counted)
     width = 1 + max((found[j][0].size for j in slot_columns), default=0)
     first = np.arange(slot_columns.size) * width + 1  # each slot's smallest level
@@ -344,32 +397,40 @@ def presort(X: PredictorMatrix) -> np.ndarray:
     Returns an ``(s, n)`` integer array laid out as `ColumnLayout` describes:
     row 0 is the stable argsort of column 0, and the other rows are those of
     the sorted columns after it, so with no counted column it is
-    ``np.argsort(X.columns, axis=1, kind="stable")``.  A tie-free column has
-    one sorted order only, so numpy's default argsort (SIMD-vectorised where
-    the CPU allows) returns exactly it.  A tied column is sorted through its
-    `ColumnLayout.tied_ranks`, which keep its order and its ties (signed
-    zeros are one level) in the narrowest unsigned type that holds them;
-    numpy's stable sort radix-sorts such keys up to 16 bits wide.  The first
-    call on ``X`` builds its layout, level codes included.
+    ``np.argsort(X.columns, axis=1, kind="stable")``.
 
-    For a matrix of at least ``_SETUP_ROWS`` rows the rows of the stack are
-    sorted on up to one thread per allowed core, the caller's included, one
-    column at a time; each fills its own row, so the stack is the same
-    array as one thread's.
+    Each column is sorted once, with numpy's default argsort (SIMD-vectorised
+    where the CPU allows).  The first call on ``X`` builds its layout from
+    these orders, level codes included.  A tie-free column has one sorted
+    order only, so its argsort is its stack row as it is.  The argsorts are
+    written into one ``(p, n)`` array, which is the stack when no column is
+    counted; otherwise the stack is one gather of its columns' rows from
+    it.  A tied stack column's row is then replaced by the
+    stable sort of its `ColumnLayout.tied_ranks`, which keep its order and
+    its ties (signed zeros are one level) in the narrowest unsigned type
+    that holds them; numpy's stable sort radix-sorts such keys up to 16 bits
+    wide.
+
+    For a matrix of at least ``_SETUP_ROWS`` rows both kinds of sort run on
+    up to one thread per allowed core, the caller's included, one column at
+    a time; each fills its own row, so the stack is the same array as one
+    thread's.
     """
-    layout = X.layout()
+    orders = _argsorts(X)
+    if X._layout is None:
+        X._layout = _column_layout(X, orders)
+    layout = X._layout
     columns = np.flatnonzero(layout.stack_row >= 0).tolist()
-    out = np.empty((len(columns), X.n), dtype=np.intp)
+    if len(columns) < X.p:  # leave out the counted columns' orders
+        orders = orders.take(columns, axis=0)
+    tied = [i for i, j in enumerate(columns) if j in layout.tied_ranks]
 
-    def order(i: int) -> None:
-        ranks = layout.tied_ranks.get(columns[i])
-        if ranks is None:
-            out[i] = np.argsort(X.columns[columns[i]])
-        else:
-            out[i] = np.argsort(ranks, kind="stable")
+    def stable(k: int) -> None:
+        ranks = layout.tied_ranks[columns[tied[k]]]
+        orders[tied[k]] = np.argsort(ranks, kind="stable")
 
-    run_tasks(order, len(columns), X.n >= _SETUP_ROWS)
-    return out
+    run_tasks(stable, len(tied), X.n >= _SETUP_ROWS)
+    return orders
 
 
 def stack_rows(X: PredictorMatrix, variables: np.ndarray | None = None) -> np.ndarray:

@@ -41,8 +41,9 @@ def count_levels(cutoff):
 
 @contextlib.contextmanager
 def setup_threads(cores):
-    """Spread every set-up's sorts over ``cores`` allowed cores, whatever
-    its rows; None keeps every set-up on the calling thread.
+    """Spread every set-up's sorts and neighbour checks over ``cores``
+    allowed cores, whatever its rows; None keeps every set-up on the calling
+    thread.
 
     Yields a list that gets, for each pool opened, its thread count with the
     caller's thread included.  Predict opens pools too, from
@@ -57,7 +58,8 @@ def setup_threads(cores):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(threads_module, "ThreadPoolExecutor", recording)
-        patch.setattr(data_module, "_SETUP_ROWS", 2**62 if cores is None else 0)
+        for gate in ("_SETUP_ROWS", "_CHECK_ROWS"):
+            patch.setattr(data_module, gate, 2**62 if cores is None else 0)
         if cores is not None:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         yield opened

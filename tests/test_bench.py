@@ -60,10 +60,11 @@ class TestRunBench:
         monkeypatch.setattr(xbart.threads, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(xbart.model, "_THREAD_ROWS", 0)
         monkeypatch.setattr(xbart.data, "_SETUP_ROWS", 0)
+        monkeypatch.setattr(xbart.data, "_CHECK_ROWS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         threaded = _tiny_bench(seed=3, jobs=1)
-        # per rep: the tie scan's and the stack's sorts of 4 tie-free
-        # columns, then the predict's draws
+        # per rep: the argsorts of 4 tie-free columns, which are the stack,
+        # their neighbour checks, then the predict's draws
         assert opened == [2, 2, 2] * 3
         assert threaded.canonical_report() == serial.canonical_report()
 

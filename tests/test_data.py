@@ -118,14 +118,14 @@ class TestPresort:
             with count_levels(cutoff):
                 X = PredictorMatrix(cols)
                 np.testing.assert_array_equal(presort(X), want[rows])
-            assert not X.tie_free_columns().any()
+            assert not X.layout().tie_free.any()
 
     def test_one_tie_pair_keeps_original_order(self):
         rng = np.random.default_rng(2)
         col = rng.normal(size=500)
         col[[40, 7]] = col[123]  # rows 7, 40 and 123 tie; sorted ids ascend
         X = PredictorMatrix([col, rng.normal(size=500)])
-        assert X.tie_free_columns().tolist() == [False, True]
+        assert X.layout().tie_free.tolist() == [False, True]
         index = presort(X)
         np.testing.assert_array_equal(index, np.argsort(X.columns, axis=1, kind="stable"))
         run = np.flatnonzero(np.isin(index[0], [7, 40, 123]))
@@ -907,7 +907,10 @@ class TestPredictorMatrix:
             [[1.0, 2.0, 3.0], [1.0, 1.0, 3.0], [1.0, 2.0, 3.0]],
             categorical=[False, False, True],
         )
-        assert X.tie_free_columns().tolist() == [True, False, False]
+        # any order that sorts each column will do
+        for kind in ("quicksort", "stable"):
+            orders = np.argsort(X.columns, axis=1, kind=kind)
+            assert X.tie_free_columns(orders).tolist() == [True, False, False]
 
     def test_columns_are_a_read_only_copy_and_flags_are_kept(self):
         block = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]])
@@ -956,7 +959,8 @@ class TestPredictorMatrix:
             model = fit(rows, rows[:, 0] + rng.normal(size=200), params)
         assert calls == {"tie_free_columns": 1, "presort": 1}
         assert callers == {threading.get_ident()}
-        # the tie scan's 4 columns and the stack's 3 rows
+        # the argsorts and the neighbour checks of the 4 columns; no tied
+        # column has a stack row, so no stable sort follows
         assert opened == [2, 2]
         made = []
         from_rows = PredictorMatrix.from_rows.__func__
@@ -1013,10 +1017,11 @@ class TestThreadedSetUp:
         assert threaded_ranks.dtype == ranks.dtype and np.array_equal(threaded_ranks, ranks)
         assert not threaded_ranks.flags.writeable
         assert _same_layout(many.layout(), one.layout())
-        # one pool per loop of more than one column: the tie scan over the
-        # continuous columns and the stack's sorts over its rows; the level
-        # codes and the rank table stay on the caller
-        tasks = (np.count_nonzero(~one.categorical), stack.shape[0])
+        # one pool per loop of more than one column: the argsorts of every
+        # column, the neighbour checks of the continuous ones and the stable
+        # sorts of the tied stack rows; the level codes and the rank table
+        # stay on the caller
+        tasks = (one.p, np.count_nonzero(~one.categorical), len(one.layout().tied_ranks))
         assert opened == [min(cores, k) for k in tasks if k > 1]
 
     def test_more_threads_than_cores_under_fast_switching(self):
@@ -1037,8 +1042,9 @@ class TestThreadedSetUp:
                     assert np.array_equal(rank_table(threaded), ranks)
                 assert np.array_equal(threaded, stack)
                 assert _same_layout(many.layout(), one.layout())
-                # 4 continuous columns, a stack of 6 rows
-                assert opened == [4, 6]
+                # 6 columns, 4 of them continuous and 4 tied or categorical
+                # with stack rows
+                assert opened == [6, 4, 4]
         finally:
             sys.setswitchinterval(interval)
 
@@ -1049,10 +1055,13 @@ class TestThreadedSetUp:
             stack = presort(X)
             rank_table(stack)
         assert opened == []
+        # one pool for the argsorts and one for the neighbour checks; the one
+        # tied stack row, column 0's, is sorted on the caller
         for rows, pools in ((X.n + 1, 0), (X.n, 2)):
             (X, _), _ = self._matrices("counted")
             with setup_threads(3) as opened, pytest.MonkeyPatch.context() as patch:
                 patch.setattr(data_module, "_SETUP_ROWS", rows)
+                patch.setattr(data_module, "_CHECK_ROWS", rows)
                 rank_table(presort(X))
             assert len(opened) == pools
         assert threading.active_count() == before
@@ -1085,6 +1094,175 @@ class TestThreadedSetUp:
         assert info.value is raised[0]
         assert opened == [cores]
         assert threading.active_count() == before
+
+
+class _CountingNumpy:
+    """Stands in for numpy inside `xbart.data` and counts its sort calls,
+    from any thread, by name; a stable argsort is counted on its own, with
+    the array it sorted."""
+
+    def __init__(self):
+        self.calls = {"sort": [], "argsort": [], "argsort_stable": [], "unique": []}
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name):
+        real = getattr(np, name)
+        if name not in ("sort", "argsort", "unique"):
+            return real
+
+        def counted(a, *args, **kwargs):
+            key = name + ("_stable" if kwargs.get("kind") == "stable" else "")
+            with self._lock:
+                self.calls[key].append(a)
+            return real(a, *args, **kwargs)
+
+        return counted
+
+
+class TestOneSortPerColumn:
+    """A fit's set-up sorts each column once: one default argsort, which
+    finds its ties and levels and is its stack row when it is tie-free."""
+
+    @staticmethod
+    def _mixed(n=3000, seed=9):
+        rng = np.random.default_rng(seed)
+        columns = [
+            rng.integers(0, 5, size=n) * rng.choice([-0.0, 1.0], size=n),  # counted column 0
+            rng.normal(size=n),                         # tie-free
+            rng.integers(0, 3, size=n),                 # categorical, counted
+            rng.integers(0, 100_000, size=n),           # tied, more levels than counted
+            np.round(rng.normal(size=n), 1),            # tied, counted
+            rng.permutation(n) * 1e-310,                # tie-free subnormals
+        ]
+        flags = [False, False, True, False, False, False]
+        return columns, flags
+
+    @pytest.mark.parametrize("cores", [None, 2])
+    def test_a_set_up_sorts_each_column_once(self, monkeypatch, cores):
+        columns, flags = self._mixed()
+        X = PredictorMatrix(columns, categorical=flags)
+        y = X.columns[1] + X.columns[4]
+        counting = _CountingNumpy()
+        with setup_threads(cores) as opened:
+            monkeypatch.setattr(data_module, "np", counting)
+            sampler = forest_module.ForestSampler(X, y, Hyperparams(n_trees=2, mtry=1))
+            monkeypatch.undo()
+        calls = counting.calls
+        assert not calls["sort"] and not calls["unique"]
+        # one default argsort per column, each of its own column
+        sorted_rows = [
+            [j for j in range(X.p) if np.shares_memory(a, X.columns[j])] for a in calls["argsort"]
+        ]
+        assert sorted(sorted_rows) == [[j] for j in range(X.p)]
+        layout = X.layout()
+        assert layout.counted.tolist() == [True, False, True, False, True, False]
+        # the radix sorts: column 0, counted, and the tied column 3 have stack rows
+        assert list(layout.tied_ranks) == [0, 3]
+        assert sorted(id(a) for a in calls["argsort_stable"]) == sorted(
+            id(r) for r in layout.tied_ranks.values()
+        )
+        # pools: the argsorts, the neighbour checks, the radix sorts
+        assert opened == ([] if cores is None else [2, 2, 2])
+        want = np.argsort(X.columns, axis=1, kind="stable")
+        assert np.array_equal(sampler.root_index, want[[0, 1, 3, 5]])
+
+
+# values at the edges of float64: signed zeros, subnormals, huge magnitudes
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0,
+]
+
+
+def _sort_tie_free(X) -> list[bool]:
+    """The tie mask of a full sort of each continuous column."""
+    out = []
+    for col, categorical in zip(X.columns, X.categorical):
+        s = np.sort(col)
+        out.append(not categorical and bool(np.all(s[1:] != s[:-1])))
+    return out
+
+
+class TestLevelsFromOneArgsort:
+    """A column's levels, ranks and tie flag come from one default argsort as
+    `np.unique` and a full sort give them."""
+
+    @staticmethod
+    def _check(col):
+        levels, ranks = data_module._levels(col, np.argsort(col))
+        want_levels, want_ranks = np.unique(col, return_inverse=True)
+        # np.unique sorts with the same default argsort, so even the signs of
+        # zero levels agree
+        assert levels.tobytes() == want_levels.tobytes()
+        assert ranks.dtype == np.min_scalar_type(want_levels.size - 1)
+        assert np.array_equal(ranks, want_ranks)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_VALUES),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=200)
+    def test_levels_and_ranks_equal_np_unique(self, values):
+        self._check(np.array(values, dtype=np.float64))
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["edge", "constant", "normal", "categorical"]),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=100)
+    def test_neighbour_check_equals_the_sorted_tie_mask(self, kinds, n):
+        columns, flags = [], []
+        for kind, seed in kinds:
+            rng = np.random.default_rng(seed)
+            columns.append(
+                {
+                    "edge": lambda: rng.choice(_EDGE_VALUES, size=n),
+                    "constant": lambda: np.full(n, rng.choice(_EDGE_VALUES)),
+                    "normal": lambda: rng.normal(size=n),
+                    "categorical": lambda: rng.integers(0, 4, size=n).astype(float),
+                }[kind]()
+            )
+            flags.append(kind == "categorical")
+        X = PredictorMatrix(columns, categorical=flags)
+        assert X.tie_free_columns(np.argsort(X.columns, axis=1)).tolist() == _sort_tie_free(X)
+        layout = X.layout()
+        assert layout.tie_free.tolist() == _sort_tie_free(X)
+        for j in np.flatnonzero(~layout.tie_free):
+            self._check(X.columns[j])
+
+    @given(
+        st.sampled_from(
+            [1, 256, 257, _COUNT_LEVELS, _COUNT_LEVELS + 1, 65_536, 65_537, 70_000]
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=12)
+    def test_many_levels_equal_np_unique(self, levels, seed):
+        # every level at least once, huge magnitudes and both signed zeros
+        # among them, so that each rank type's bounds are met exactly
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(-1.0, 1.0, levels) * 1e308
+        grid[levels // 2] = -0.0
+        extra = rng.choice(grid, size=2_000)
+        extra[:50] = rng.choice([-0.0, 0.0], size=50)
+        col = rng.permutation(np.concatenate((grid, extra)))
+        assert np.unique(col).size == levels
+        self._check(col)
+        X = PredictorMatrix([col, rng.permutation(col.size) * 1e300])
+        assert X.tie_free_columns(np.argsort(X.columns, axis=1)).tolist() == _sort_tie_free(X)
 
 
 class TestCsvIngestion:

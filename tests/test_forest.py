@@ -509,6 +509,8 @@ class TestThreadedSetUp:
         before = threading.active_count()
         with setup_threads(2) as opened:
             fit(X, y, Hyperparams(n_trees=3, n_sweeps=3, burnin=1, mtry=1), seed=7)
-        # the tie scan and the stack's sorts
+        # the argsorts and the 3 continuous columns' neighbour checks; column
+        # 0, counted, is the one tied stack row and is stable-sorted on the
+        # caller
         assert opened == [2, 2]
         assert threading.active_count() == before
