@@ -47,10 +47,16 @@ all of them share one ladder and keep its ranks, while the other sorted
 columns (each with its own ladder) have their values gathered in one block
 and their base ranks moved to run ends in one pass.  When every scored
 column is tie-free, the candidates form one block of columns by ladder
-ranks, which the grid hands to the scan as such (`CutpointGrid.ladder`).
-A counted column's run ends are its levels' cumulative counts at the node,
-from one `np.bincount` over all counted columns, so it needs no ordering to
-give the same ranks.
+ranks, which the grid hands to the scan as such (`CutpointGrid.ladder`),
+and the grid is those columns and ranks alone.  A counted column's run ends
+are its levels' cumulative counts at the node, from one `np.bincount` over
+all counted columns, so it needs no ordering to give the same ranks.
+
+The scan reads no cut value, and a node uses one: the cut of the candidate
+it draws.  So a grid gathers none; it keeps the node stack rows it was
+built from, and `CutpointGrid.cut` reads the drawn candidate's value from
+its column at its rank in its stack row, or a counted candidate's from its
+level.
 """
 
 from __future__ import annotations
@@ -264,7 +270,7 @@ class PredictorMatrix:
         """The matrix's `ColumnLayout`, built at the first call; later calls
         return the same object."""
         if self._layout is None:
-            self._layout = _column_layout(self, _argsorts(self))
+            self._layout = _column_layout(self, _argsorts(self, range(self.p)))
         return self._layout
 
     def __repr__(self) -> str:
@@ -321,16 +327,19 @@ class ColumnLayout:
     tied_ranks: dict[int, np.ndarray]
 
 
-def _argsorts(X: PredictorMatrix) -> np.ndarray:
-    """``(p, n)`` array whose row ``j`` is numpy's default argsort of column
-    ``j``, sorted on up to one thread per allowed core from ``_SETUP_ROWS``
-    rows on; each sort writes only its own row."""
-    out = np.empty((X.p, X.n), dtype=np.intp)
+def _argsorts(X: PredictorMatrix, columns) -> np.ndarray:
+    """``(len(columns), n)`` array whose row ``k`` is numpy's default argsort
+    of column ``columns[k]``, or is left unset where that entry is -1,
+    sorted on up to one thread per allowed core from ``_SETUP_ROWS`` rows
+    on; each sort writes only its own row."""
+    columns = list(columns)
+    out = np.empty((len(columns), X.n), dtype=np.intp)
+    todo = [k for k, j in enumerate(columns) if j >= 0]
 
-    def order(j: int) -> None:
-        out[j] = np.argsort(X.columns[j])
+    def order(i: int) -> None:
+        out[todo[i]] = np.argsort(X.columns[columns[todo[i]]])
 
-    run_tasks(order, X.p, X.n >= _SETUP_ROWS)
+    run_tasks(order, len(todo), X.n >= _SETUP_ROWS)
     return out
 
 
@@ -409,19 +418,25 @@ def presort(X: PredictorMatrix) -> np.ndarray:
     stable sort of its `ColumnLayout.tied_ranks`, which keep its order and
     its ties (signed zeros are one level) in the narrowest unsigned type
     that holds them; numpy's stable sort radix-sorts such keys up to 16 bits
-    wide.
+    wide.  When ``X.layout()`` was built before, only the tie-free stack
+    columns are argsorted, into the stack's own rows.
 
     For a matrix of at least ``_SETUP_ROWS`` rows both kinds of sort run on
     up to one thread per allowed core, the caller's included, one column at
     a time; each fills its own row, so the stack is the same array as one
     thread's.
     """
-    orders = _argsorts(X)
-    if X._layout is None:
-        X._layout = _column_layout(X, orders)
     layout = X._layout
+    built_before = layout is not None
+    if not built_before:
+        orders = _argsorts(X, range(X.p))
+        X._layout = layout = _column_layout(X, orders)
     columns = np.flatnonzero(layout.stack_row >= 0).tolist()
-    if len(columns) < X.p:  # leave out the counted columns' orders
+    if built_before:
+        # the layout keeps no order, and a tied stack row is the radix sort
+        # below, so only the tie-free stack columns need an argsort
+        orders = _argsorts(X, [-1 if j in layout.tied_ranks else j for j in columns])
+    elif len(columns) < X.p:  # leave out the counted columns' orders
         orders = orders.take(columns, axis=0)
     tied = [i for i, j in enumerate(columns) if j in layout.tied_ranks]
 
@@ -571,6 +586,27 @@ def node_orders(
     return np.compress(member.take(orders).ravel(), orders.ravel()).reshape(len(root_rows), m)
 
 
+class _Derived:
+    """A `CutpointGrid` field that a grid built by `build_cutpoint_grid` may
+    leave unset (None) and derives, through ``CutpointGrid._derive``, at its
+    first read; the derived array is kept.  As a dataclass field default it
+    reads None, so a hand-built grid passes the array itself."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, grid, owner=None):
+        if grid is None:
+            return None
+        got = grid.__dict__[self.name]
+        if got is None:
+            got = grid.__dict__[self.name] = grid._derive(self.name)
+        return got
+
+    def __set__(self, grid, value) -> None:
+        grid.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CutpointGrid:
     """Flat list of candidate cutpoints for one node.
@@ -598,18 +634,70 @@ class CutpointGrid:
     m + rank`` for the ``i``-th of them, in grid order, where ``row`` is the
     stack row that orders the node's ``m`` rows by its column.  It is None
     on a ladder grid and on a grid of counted columns alone.
+
+    A grid that `build_cutpoint_grid` makes keeps ``matrix``, the
+    `PredictorMatrix`, and ``orders``, the node stack rows it was built
+    from, and gathers no cut value: a draw reads the one it picks through
+    `cut`.  Its ``values`` are derived, through `cut`, when they are first
+    read.  A ladder grid keeps only its scored columns (``columns``) and
+    ``ladder``: its ``var_ids`` and ``ranks`` are derived the same way, and
+    its length is ``columns.size * ladder.size``.  Neither is read while a
+    tree grows.  A grid without ``matrix``, such as one built by hand, is
+    given its ``var_ids``, ``ranks`` and ``values``.
     """
 
-    var_ids: np.ndarray
-    ranks: np.ndarray
-    values: np.ndarray
+    var_ids: np.ndarray | None = _Derived()
+    ranks: np.ndarray | None = _Derived()
+    values: np.ndarray | None = _Derived()
     levels: np.ndarray | None = None
     codes: np.ndarray | None = None
     ladder: np.ndarray | None = None
     keys: np.ndarray | None = None
+    columns: np.ndarray | None = None
+    orders: np.ndarray | None = None
+    matrix: PredictorMatrix | None = None
 
     def __len__(self) -> int:
-        return self.var_ids.size
+        if self.ladder is None or self.columns is None:
+            return self.var_ids.size
+        return self.columns.size * self.ladder.size
+
+    def cut(self, i: int) -> tuple[int, int, float]:
+        """Candidate ``i``'s column, rank and cut value.
+
+        A sorted candidate's value is its column's value at its rank in its
+        stack row of ``orders``, plus 0.0, which turns a -0.0 cut into +0.0
+        and leaves every other value as is: ``x <= -0.0`` and ``x <= +0.0``
+        make the same partition.  A counted candidate's value is its level's
+        entry of `ColumnLayout.values`, where a zero level is +0.0 too.
+        """
+        if self.matrix is None:
+            return int(self.var_ids[i]), int(self.ranks[i]), float(self.values[i])
+        if self.ladder is not None and self.columns is not None:
+            row, at = divmod(i, self.ladder.size)
+            var, rank = int(self.columns[row]), int(self.ladder[at])
+        else:
+            var, rank = int(self.var_ids[i]), int(self.ranks[i])
+            if self.levels is None:
+                row = int(self.keys[i]) // self.orders.shape[1]
+            elif self.levels[i] >= 0:
+                return var, rank, float(self.matrix.layout().values[self.levels[i]])
+            else:  # the keys list the sorted candidates alone
+                at = np.count_nonzero(self.levels[:i] < 0)
+                row = int(self.keys[at]) // self.orders.shape[1]
+        return var, rank, float(self.matrix.columns[var, self.orders[row, rank]] + 0.0)
+
+    def _derive(self, name: str) -> np.ndarray | None:
+        """The unset field ``name``, or None when the grid cannot derive it."""
+        if name == "values":
+            if self.matrix is None:
+                return None
+            return np.array([self.cut(i)[2] for i in range(len(self))], dtype=np.float64)
+        if self.ladder is None or self.columns is None:
+            return None
+        if name == "var_ids":
+            return self.columns.repeat(self.ladder.size)
+        return np.tile(self.ladder, self.columns.size)
 
 
 def build_cutpoint_grid(
@@ -638,18 +726,22 @@ def build_cutpoint_grid(
 
     The tie-free columns of ``X.layout()`` are continuous, so they all
     share the node's one ladder and keep its ranks without gathering their
-    values; when every scored column is one of them, the grid keeps the
-    ladder's ranks as ``ladder`` for the scan, and otherwise it places each
-    sorted candidate in ``index`` by its ``keys``.  The values of the other
-    sorted columns are gathered at once, and their run ends are found in
-    one pass over that gather.  The levels
+    values; when every scored column is one of them, the grid is the scored
+    columns and the ladder's ranks (``columns``, ``ladder``) and nothing
+    more, and otherwise it places each sorted candidate in ``index`` by its
+    ``keys``.  The values of the other sorted columns are gathered at once,
+    and their run ends are found in one pass over that gather.  The levels
     of all counted columns are counted with one `np.bincount` over the codes
     of the node's rows (row 0 of ``index``); each level's cumulative count
     is the end of its tie run, with no order needed.  Both give the same
-    candidates, and a counted candidate's value is its level's.  A zero cut
-    is +0.0 on either path, whatever the sign of the zeros in its column:
-    ``x <= -0.0`` and ``x <= +0.0`` make the same partition, so a fit does
-    not depend on those signs.
+    candidates.
+
+    No cut value is gathered: the grid keeps ``index`` and ``X``, and
+    `CutpointGrid.cut` reads a candidate's value when it is drawn, from its
+    column at its rank in ``index`` for a sorted candidate and from its
+    level for a counted one.  A zero cut is +0.0 on either path, whatever
+    the sign of the zeros in its column: ``x <= -0.0`` and ``x <= +0.0``
+    make the same partition, so a fit does not depend on those signs.
 
     Parameters
     ----------
@@ -688,54 +780,49 @@ def build_cutpoint_grid(
     grid = None
     if counted_vars.size:
         grid = _counted_candidates(
-            X, index[0], None if variables is None else counted_vars, count, j, lo, hi
+            X, index, None if variables is None else counted_vars, count, j, lo, hi
         )
         if not sorted_vars.size:
             return grid
-    var_ids, ranks, values, ladder, keys = _sorted_candidates(
-        X, index, sorted_vars, count, j, lo, hi
-    )
+    cuts = _sorted_candidates(X, index, sorted_vars, count, j, lo, hi)
     if grid is None:
-        return CutpointGrid(var_ids, ranks, values, ladder=ladder, keys=keys)
+        return cuts
+    keys = cuts.keys
     if keys is None:  # the keys of the ladder block, row by row
-        keys = (np.arange(sorted_vars.size)[:, None] * m + ladder).ravel()
+        keys = (np.arange(sorted_vars.size)[:, None] * m + cuts.ladder).ravel()
     # interleave both groups by position in variables, then rank
     pos = np.arange(X.p)
     if variables is not None:
         pos[variables] = np.arange(variables.size)
     order = np.argsort(
-        np.concatenate((pos[var_ids], pos[grid.var_ids])) * m
-        + np.concatenate((ranks, grid.ranks))
+        np.concatenate((pos[cuts.var_ids], pos[grid.var_ids])) * m
+        + np.concatenate((cuts.ranks, grid.ranks))
+    )
+    var_ids, ranks, levels = (
+        np.concatenate(pair).take(order)
+        for pair in (
+            (cuts.var_ids, grid.var_ids),
+            (cuts.ranks, grid.ranks),
+            (np.full(len(cuts), -1), grid.levels),
+        )
     )
     return CutpointGrid(
-        *(
-            np.concatenate(pair).take(order)
-            for pair in (
-                (var_ids, grid.var_ids),
-                (ranks, grid.ranks),
-                (values, grid.values),
-                (np.full(var_ids.size, -1), grid.levels),
-            )
-        ),
-        grid.codes,
-        keys=keys,
+        var_ids, ranks, None, levels, grid.codes, keys=keys, orders=index, matrix=X
     )
 
 
-def _sorted_candidates(X, index, variables, count, j, lo, hi):
-    """``(var_ids, ranks, values, ladder, keys)`` of the sorted columns
-    ``variables``, whose node orders are the rows of ``index``: ``ladder``
-    when they are all tie-free, else ``keys``, and the other None."""
+def _sorted_candidates(X, index, variables, count, j, lo, hi) -> CutpointGrid:
+    """The grid of the sorted columns ``variables``, whose node orders are
+    the rows of ``index``: a ladder grid when they are all tie-free, else
+    one that places its candidates by ``keys``."""
     m = index.shape[1]
     tied = np.flatnonzero(~X.layout().tie_free[variables])
-    # the tie-free columns keep the in-range ranks of the one continuous ladder
-    base = np.arange(count) * j
-    kept = base[(base >= lo) & (base <= hi)]
+    # the tie-free columns keep the in-range ranks of the one continuous
+    # ladder 0, j, .., (count - 1) * j: its multiples of j in [lo, hi]
+    kept = np.arange(-(-lo // j) * j, min((count - 1) * j, hi) + 1, j)
     if not tied.size:
         # the candidates are a (columns, ranks) block, row by row
-        var_ids = variables.repeat(kept.size)
-        values = X.columns.take(var_ids * X.n + index[:, kept].ravel())
-        return var_ids, np.tile(kept, variables.size), values + 0.0, kept, None
+        return CutpointGrid(ladder=kept, columns=variables, orders=index, matrix=X)
     # candidate keys ``row of index * m + rank``
     free = np.ones(variables.size, dtype=bool)
     free[tied] = False
@@ -758,18 +845,15 @@ def _sorted_candidates(X, index, variables, count, j, lo, hi):
     tied_keys = tied[row[keep]] * m + end[keep]
     merged = np.concatenate((keys, tied_keys))
     keys = np.sort(merged) if keys.size and tied_keys.size else merged
-    var_ids = variables[keys // m]
-    # adding 0.0 turns a -0.0 cut into +0.0 and leaves every other value as is
-    values = X.columns.take(var_ids * X.n + index.take(keys)) + 0.0
-    return var_ids, keys % m, values, None, keys
+    return CutpointGrid(variables[keys // m], keys % m, keys=keys, orders=index, matrix=X)
 
 
-def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
-    """The grid of the counted columns ``variables`` at the node of ``rows``;
-    ``None`` scores every counted column, in slot order.  A candidate's value
-    is its level's entry of `ColumnLayout.values`, so a zero cut is +0.0
-    whichever zeros the node's rows hold."""
+def _counted_candidates(X, index, variables, count, j, lo, hi) -> CutpointGrid:
+    """The grid of the counted columns ``variables`` at the node whose rows
+    ``index[0]`` lists; ``None`` scores every counted column, in slot order.
+    A candidate's level bin is all the grid keeps of its value."""
     layout = X.layout()
+    rows = index[0]
     m, width = rows.size, layout.width
     if variables is None:
         variables = layout.slot_columns
@@ -808,7 +892,7 @@ def _counted_candidates(X, rows, variables, count, j, lo, hi) -> CutpointGrid:
     var_ids = variables.take(at // width)
     if bins is not None:
         at = bins.take(at)
-    return CutpointGrid(var_ids, ranks, layout.values.take(at), at, codes)
+    return CutpointGrid(var_ids, ranks, None, at, codes, orders=index, matrix=X)
 
 
 def _checked_variables(variables, p: int, name: str = "variables") -> np.ndarray:

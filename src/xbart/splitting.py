@@ -271,7 +271,8 @@ def sample_cutpoint(
     The direct path consumes exactly one uniform variate and inverts the
     cumulative distribution; the Gumbel path adds i.i.d. standard Gumbel
     noise to each log score and takes the argmax.  Both sample the same
-    distribution.
+    distribution.  The choice is read through `CutpointGrid.cut`, so only
+    the drawn candidate's cut value is ever gathered.
     """
     n_cand = len(scores.grid)
     if method == "direct":
@@ -287,8 +288,4 @@ def sample_cutpoint(
         raise ConfigError(f"unknown cutpoint sampling method {method!r}")
     if idx == n_cand:
         return None
-    return SplitChoice(
-        var=int(scores.grid.var_ids[idx]),
-        rank=int(scores.grid.ranks[idx]),
-        value=float(scores.grid.values[idx]),
-    )
+    return SplitChoice(*scores.grid.cut(idx))

@@ -61,17 +61,10 @@ def filters(p: int, mtry: int) -> bool:
     return _FILTER_RATIO * mtry <= p
 
 
-# The fields of a grid that a `GridMemo` keeps below the root, with their
-# types, in the order of their copies in its ring; a hit gathers ``codes``
-# again.
-_KEPT = {
-    "var_ids": np.intp,
-    "ranks": np.intp,
-    "values": np.float64,
-    "levels": np.intp,
-    "ladder": np.intp,
-    "keys": np.intp,
-}
+# The fields of a grid that a `GridMemo` keeps below the root, in the order of
+# their copies in its ring; a hit gathers ``codes`` again, and reads its cut
+# values through the node's own stack rows.
+_KEPT = ("var_ids", "ranks", "levels", "keys")
 # A kept grid's record starts with its size in bytes and each field's length,
 # -1 for a field that is None.
 _HEADER = 8 * (1 + len(_KEPT))
@@ -90,18 +83,22 @@ class GridMemo:
     0 for the left child and 1 for the right.  Deeper nodes are not kept:
     they rarely recur.
 
-    A depth-1 grid is kept from its first build, without its ``codes``,
-    which a hit gathers again from the node's rows, so that the memo holds
-    no array of node size below the root.  It is kept as one record in a
-    ring of ``budget`` bytes (``_GRID_MEMO_BYTES`` when the memo is made) in
-    one anonymous memory map: a header, then the `_KEPT` fields, integers
-    in the narrowest type that holds any of them (``kinds``).  The
-    oldest records are dropped to make room.  Per kept grid the memo holds
-    only its key and its record's start, and the map goes back to the
-    system whole when the memo is freed.  Small objects and arrays that
-    live through a fit leave holes among the fitted trees' objects when
-    they die, and the saving and loading of the model then allocate into
-    them, about 2% slower on ``tied_many_trees`` (``BENCH_grids.json``).
+    A depth-1 grid with tied or counted columns is kept from its first
+    build, without its ``codes``, which a hit gathers again from the node's
+    rows, and without its stack rows, which a hit takes from the node that
+    asks, so that the memo holds no array of node size below the root.  A
+    ladder grid is not kept: it is its columns and ladder ranks alone, which
+    rebuilding costs a few microseconds, less than a copy into the ring.  A
+    kept grid is one record in a ring of ``budget`` bytes
+    (``_GRID_MEMO_BYTES`` when the memo is made) in one anonymous memory
+    map: a header, then the `_KEPT` fields in the narrowest integer type
+    that holds any of them (``kind``).  The oldest records are dropped to
+    make room.  Per kept grid the memo holds only its key and its record's
+    start, and the map goes back to the system whole when the memo is freed.
+    Small objects and arrays that live through a fit leave holes among the
+    fitted trees' objects when they die, and the saving and loading of the
+    model then allocate into them, about 2% slower on ``tied_many_trees``
+    (``BENCH_grids.json``).
 
     ``hits`` and ``misses`` count the lookups of depth-1 grids, and ``held``
     is the bytes of the ring that the kept records take.
@@ -112,11 +109,10 @@ class GridMemo:
         # the grid's cutpoint budget and minimum child size
         self.limits = (params.n_cutpoints, params.min_node_size)
         self.budget = _GRID_MEMO_BYTES
-        # the type of each field's copies: a grid's integers are column ids,
-        # ranks and stack keys below p * n, and level bins from -1 to below
+        # the type of the copies: a kept grid's integers are column ids, ranks
+        # and stack keys below p * n, and level bins from -1 to below
         # p * (n + 1), n + 1 per column at most
-        int_type = np.min_scalar_type(-X.p * (X.n + 1))
-        self.kinds = [int_type if t is np.intp else np.dtype(t) for t in _KEPT.values()]
+        self.kind = np.min_scalar_type(-X.p * (X.n + 1))
         self.root: CutpointGrid | None = None
         # key -> start of its record in the ring, oldest first
         self.starts: dict[tuple, int] = {}
@@ -133,35 +129,34 @@ class GridMemo:
             if self.root is None:
                 self.root = build_cutpoint_grid(self.X, orders, *self.limits)
                 for a in vars(self.root).values():
-                    if a is not None:
+                    if isinstance(a, np.ndarray):
                         a.flags.writeable = False
             return self.root
         start = self.starts.get(key)
         if start is None:
             self.misses += 1
             grid = build_cutpoint_grid(self.X, orders, *self.limits)
-            self._keep(key, grid)
+            if grid.ladder is None:
+                self._keep(key, grid)
             return grid
         self.hits += 1
         lengths = self.ring[start : start + _HEADER].view(np.int64).tolist()[1:]
         arrays = {}
         at = start + _HEADER
-        for (f, t), kind, n in zip(_KEPT.items(), self.kinds, lengths):
+        for f, n in zip(_KEPT, lengths):
             if n >= 0:
-                arrays[f] = self.ring[at : at + n * kind.itemsize].view(kind).astype(t)
-                at += _padded(n * kind.itemsize)
+                nbytes = n * self.kind.itemsize
+                arrays[f] = self.ring[at : at + nbytes].view(self.kind).astype(np.intp)
+                at += _padded(nbytes)
         if "levels" in arrays:
             # the codes of the node's rows in the order of orders[0], as the
             # grid of every column gathers them
             arrays["codes"] = self.X.layout().codes.take(orders[0], axis=1)
-        return CutpointGrid(**arrays)
+        return CutpointGrid(**arrays, orders=orders, matrix=self.X)
 
     def _keep(self, key: tuple, grid: CutpointGrid) -> None:
         fields = [getattr(grid, f) for f in _KEPT]
-        spans = [
-            0 if a is None else _padded(a.size * kind.itemsize)
-            for a, kind in zip(fields, self.kinds)
-        ]
+        spans = [0 if a is None else _padded(a.size * self.kind.itemsize) for a in fields]
         size = _HEADER + sum(spans)
         if size > self.budget:
             return
@@ -176,9 +171,9 @@ class GridMemo:
             -1 if a is None else a.size for a in fields
         ]
         at = start + _HEADER
-        for a, kind, span in zip(fields, self.kinds, spans):
+        for a, span in zip(fields, spans):
             if a is not None:
-                self.ring[at : at + a.size * kind.itemsize].view(kind)[:] = a
+                self.ring[at : at + a.size * self.kind.itemsize].view(self.kind)[:] = a
             at += span
         self.starts[key] = start
         self.held += size

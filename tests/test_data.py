@@ -25,6 +25,7 @@ from xbart.data import (
     _COPY_BLOCK,
     _COUNT_LEVELS,
     _SORT_SHARE,
+    CutpointGrid,
     PredictorMatrix,
     build_cutpoint_grid,
     node_orders,
@@ -41,6 +42,7 @@ from xbart import forest as forest_module
 from xbart import fit
 from xbart.errors import DataError
 from xbart.forest import Hyperparams
+from xbart.splitting import CandidateScores, sample_cutpoint
 
 
 def reference_order(column, row_ids=None):
@@ -576,6 +578,72 @@ class TestCutpointGrid:
         assert np.array_equal(keys // m, row_of[var_ids])
         cuts = X.columns[var_ids, index.ravel()[keys]] + 0.0
         assert cuts.tobytes() == grid.values[in_stack].tobytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_cut_reads_the_reference_value_of_every_candidate(self, data):
+        layout = data.draw(st.sampled_from(LAYOUTS))
+        p = data.draw(st.integers(4, 7))
+        n = data.draw(st.integers(4, 120))
+        seed = data.draw(st.integers(0, 2**16))
+        every_rank = data.draw(st.booleans())
+        budget_pick = data.draw(st.integers(0, 10**6))
+        min_node_size = data.draw(st.integers(1, 4))
+        # negated, a tie-free column's zero is -0.0, whose cut is +0.0
+        negate = data.draw(st.booleans())
+        go_left, var = data.draw(st.booleans()), data.draw(st.integers(0, p - 1))
+        pick = data.draw(st.integers(0, 10**6))
+        order = data.draw(st.permutations(range(p)))
+        n_scored = data.draw(st.none() | st.integers(1, p))
+        variables = None if n_scored is None else np.array(order[:n_scored])
+        if layout in ("subset", "filtered") and variables is None:
+            variables = np.array(order[: max(1, p // 2)])
+        X, root = layout_matrix(layout, np.random.default_rng(seed), p, n)
+        if negate:
+            with count_levels(0 if layout == "sorted" else _COUNT_LEVELS):
+                X = PredictorMatrix(-X.columns, categorical=X.categorical)
+                root = presort(X)
+        node = root
+        values = np.unique(X.columns[var])
+        if values.size > 1:
+            node = sift(X, root, var, values[pick % (values.size - 1)])[0 if go_left else 1]
+        m = node.shape[1]
+        # every rank, or a strided ladder when the node has room for one
+        budget = m if every_rank else 1 + budget_pick % max(1, m - 3)
+        wanted = stack_rows(X, variables)
+        if layout == "filtered":
+            index = node_orders(root, rank_table(root), node[0], wanted)
+        else:
+            index = node[wanted]
+        grid = build_cutpoint_grid(X, index, budget, min_node_size, variables)
+        orders = column_orders(X, node[0])
+        want = reference_grid(
+            X, orders if variables is None else orders[variables], budget, min_node_size, variables
+        )
+        assert len(grid) == len(want)
+        for i in range(len(want)):
+            var_i, rank, value = grid.cut(i)
+            assert (var_i, rank) == (want.var_ids[i], want.ranks[i])
+            assert np.float64(value).tobytes() == want.values[i].tobytes()
+        assert_same_grid(grid, want)
+        if not len(want):
+            return
+        # a draw from the built grid is the draw from the eager one
+        eager = CutpointGrid(want.var_ids, want.ranks, want.values)
+        rng = np.random.default_rng(seed)
+        log_scores = rng.normal(size=len(want)) * 3.0
+        for method in ("direct", "gumbel"):
+            for draw_seed in range(5):
+                got, expect = (
+                    sample_cutpoint(
+                        CandidateScores(g, log_scores, -np.inf, 1),
+                        np.random.default_rng(draw_seed),
+                        method,
+                    )
+                    for g in (grid, eager)
+                )
+                assert got == expect
+                assert np.float64(got.value).tobytes() == np.float64(expect.value).tobytes()
 
     def test_columns_with_the_cut_off_levels_are_counted(self):
         # 7 and 8 levels against a cut-off of 7, in a strided node
@@ -1165,6 +1233,35 @@ class TestOneSortPerColumn:
         assert opened == ([] if cores is None else [2, 2, 2])
         want = np.argsort(X.columns, axis=1, kind="stable")
         assert np.array_equal(sampler.root_index, want[[0, 1, 3, 5]])
+
+    @pytest.mark.parametrize("cores", [None, 2])
+    def test_presort_after_layout_argsorts_only_tie_free_stack_columns(self, monkeypatch, cores):
+        columns, flags = self._mixed()
+        X = PredictorMatrix(columns, categorical=flags)
+        counting = _CountingNumpy()
+        with setup_threads(cores):
+            monkeypatch.setattr(data_module, "np", counting)
+            layout = X.layout()
+            argsorts = len(counting.calls["argsort"])
+            root = presort(X)
+            monkeypatch.undo()
+        calls = counting.calls
+        assert argsorts == X.p
+        # stack rows 0 and 3 are tied and come from the radix sorts; counted
+        # columns 2 and 4 have no stack row
+        sorted_rows = [
+            [j for j in range(X.p) if np.shares_memory(a, X.columns[j])]
+            for a in calls["argsort"][argsorts:]
+        ]
+        assert sorted(sorted_rows) == [[1], [5]]
+        assert sorted(id(a) for a in calls["argsort_stable"]) == sorted(
+            id(r) for r in layout.tied_ranks.values()
+        )
+        fresh = PredictorMatrix(columns, categorical=flags)
+        want = presort(fresh)
+        assert root.dtype == want.dtype
+        assert np.array_equal(root, want)
+        assert _same_layout(X.layout(), fresh.layout())
 
 
 # values at the edges of float64: signed zeros, subnormals, huge magnitudes

@@ -450,6 +450,36 @@ class TestGridMemo:
         if budget < _GRID_MEMO_BYTES:
             assert len(memo.starts) < memo.misses  # some grids were dropped
 
+    def test_ladder_grids_are_not_kept(self):
+        # every column tie-free: each grid is a ladder, which the ring skips
+        rng = np.random.default_rng(11)
+        X = PredictorMatrix(rng.normal(size=(3, 200)))
+        y = 6.0 * (X.columns[0] > 0.3) + rng.normal(size=200)
+        params = Hyperparams(n_trees=5, n_sweeps=4, burnin=0)
+        s = ForestSampler(X, y, params, seed=3)
+        s.run()
+        memo = s.grid_memo
+        assert memo.misses > 0 and memo.hits == 0
+        assert memo.held == 0 and not memo.starts and memo.ring is None
+        with grid_memo(0):
+            plain = ForestSampler(X, y, params, seed=3).run()
+        for got, want in zip(s.draws, plain):
+            for a, b in zip(got.trees, want.trees):
+                assert a.var.tobytes() == b.var.tobytes()
+                assert a.value.tobytes() == b.value.tobytes()
+
+    def test_grids_with_tied_or_counted_columns_are_kept_and_hit(self):
+        X, y = _tied(seed=4)
+        s = ForestSampler(X, y, Hyperparams(n_trees=5, n_sweeps=4, burnin=0), seed=3)
+        s.run()
+        memo = s.grid_memo
+        assert memo.hits > 0 and memo.starts and memo.held > 0
+        # every kept record has its levels (counted columns) or keys (tied ones)
+        for start in memo.starts.values():
+            lengths = memo.ring[start : start + tree_module._HEADER].view(np.int64)[1:]
+            kept = dict(zip(tree_module._KEPT, lengths.tolist()))
+            assert kept["levels"] >= 0 or kept["keys"] >= 0
+
     @pytest.mark.parametrize("mtry", [1, 2])  # nodes that filter, nodes that sift
     def test_trees_that_draw_their_columns_leave_the_memo_alone(self, monkeypatch, mtry):
         X, y = _tied(seed=2)

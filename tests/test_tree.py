@@ -1,5 +1,7 @@
 """Tests for single-tree growth, leaf sampling, evaluation, serialization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,10 +431,10 @@ class TestGrow:
         sorted_candidates = data_module._sorted_candidates
 
         def without_ladder(X, index, *rest):
-            var_ids, ranks, values, ladder, keys = sorted_candidates(X, index, *rest)
-            if ladder is not None:
-                keys = ladder_keys(index, ladder)
-            return var_ids, ranks, values, None, keys
+            grid = sorted_candidates(X, index, *rest)
+            if grid.ladder is None:
+                return grid
+            return replace(grid, ladder=None, keys=ladder_keys(index, grid.ladder))
 
         with monkeypatch.context() as patch:
             patch.setattr(data_module, "_sorted_candidates", without_ladder)
